@@ -109,14 +109,6 @@ struct MutationBench {
     query_p50_us: f64,
     query_p99_us: f64,
     query_errors: usize,
-    /// Concurrent writers in the group-commit A/B runs.
-    group_writers: usize,
-    /// Sustained batches/s with group commit disabled (one fsync per
-    /// caller — the pre-group-commit write path).
-    group_commit_off_batches_per_s: f64,
-    /// Sustained batches/s with group commit on (concurrent callers
-    /// share one fsync).
-    group_commit_on_batches_per_s: f64,
 }
 
 #[derive(Serialize)]
@@ -531,43 +523,6 @@ fn main() {
         query_lat.extend(lat);
         query_errors += errs;
     }
-    // Group-commit A/B: the same single-op churn from concurrent
-    // writers, once with every caller paying its own fsync (the
-    // pre-group-commit write path) and once with concurrent callers
-    // sharing one (the default).
-    let group_writers = 4usize;
-    let per_writer = 150usize;
-    let group_run = |on: bool, round: usize| -> f64 {
-        live.set_group_commit(on);
-        let t = Instant::now();
-        let handles: Vec<_> = (0..group_writers)
-            .map(|w| {
-                std::thread::spawn(move || {
-                    for i in 0..per_writer {
-                        let key = (round * group_writers + w) * per_writer + i;
-                        let (s, r, o) = churn_triple(key);
-                        let op = if i % 2 == 0 { "insert" } else { "delete" };
-                        let body =
-                            format!(r#"{{"{op}": [{{"s": "e{s}", "r": "r{r}", "o": "e{o}"}}]}}"#);
-                        let (status, resp) =
-                            request(addr, "POST", "/v1/admin/mutate", &body).expect("mutate");
-                        assert_eq!(status, 200, "{resp}");
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("group writer");
-        }
-        (group_writers * per_writer) as f64 / t.elapsed().as_secs_f64()
-    };
-    let group_commit_off_batches_per_s = group_run(false, 1);
-    let group_commit_on_batches_per_s = group_run(true, 2);
-    println!(
-        "  group commit ({group_writers} writers): off {group_commit_off_batches_per_s:.0} \
-         batches/s -> on {group_commit_on_batches_per_s:.0} batches/s"
-    );
-
     let m = live.metrics();
     let mutation = MutationBench {
         dataset: "tiny".into(),
@@ -584,9 +539,6 @@ fn main() {
         query_p50_us: percentile(&mut query_lat, 0.50),
         query_p99_us: percentile(&mut query_lat, 0.99),
         query_errors,
-        group_writers,
-        group_commit_off_batches_per_s,
-        group_commit_on_batches_per_s,
     };
     println!(
         "  POST /v1/admin/mutate: {:.0} batches/s (apply p50 {:.0}us p99 {:.0}us); \

@@ -17,7 +17,7 @@
 //!   | `shard_latency=<idx\|*>:<ms>` | sleep `ms` inside matching shard tasks |
 //!   | `shard_panic=<idx\|*>[:<times>]` | panic in matching shard tasks (`times` omitted = every time) |
 //!   | `worker_panic[=<times>]` | kill a batch worker thread (default once) |
-//!   | `io_error` | fail snapshot loads with an injected I/O error |
+//!   | `io_error` | fail snapshot loads and WAL syncs with an injected I/O error |
 //!   | `wal_crash=<n>` | abort the process right after the `n`-th WAL record is fsynced (1-based), before it is applied in memory |
 //!   | `compact_crash` | abort the process mid-compaction, after the snapshot rewrite but before the WAL truncate |
 //!
@@ -68,7 +68,7 @@ pub struct FaultPlan {
     /// How many batch-pool worker threads to kill (0 = none,
     /// [`ALWAYS`] = every job).
     pub worker_panic: u32,
-    /// Fail snapshot loads with an injected `io::Error`.
+    /// Fail snapshot loads and WAL syncs with an injected `io::Error`.
     pub io_error: bool,
     /// Abort the process right after the `n`-th appended WAL record
     /// (1-based ordinal) has been fsynced but before the mutation is
@@ -315,8 +315,8 @@ pub fn on_worker_job() {
     }
 }
 
-/// Injection point for snapshot/file I/O: `Some(err)` means the caller
-/// should fail with it as if the underlying read had failed.
+/// Injection point for snapshot loads and WAL syncs: `Some(err)` means
+/// the caller should fail with it as if the underlying I/O had failed.
 #[inline]
 pub fn maybe_io_error(op: &str) -> Option<std::io::Error> {
     let a = active()?;

@@ -8,7 +8,8 @@
 //!    [`MutationError`]s; an invalid batch never touches the log).
 //! 2. **Commit**: append one WAL record ([`mmkgr_kg::WalWriter`],
 //!    CRC32-framed, fsynced) — the durability point. A crash after this
-//!    instant must never lose the mutation.
+//!    instant must never lose the mutation; a failed write is rolled
+//!    back, so it can never become durable later.
 //! 3. **Apply**: build the successor [`KnowledgeGraph`] (copy-on-write
 //!    delta over the shared base CSR) and publish it through the
 //!    [`GraphHandle`]. In-flight readers keep their pinned epoch;
@@ -25,15 +26,21 @@
 //! (truncated, not replayed — it was never acknowledged) and fails
 //! loudly on interior corruption.
 //!
+//! Local batches ([`LiveGraphStore::apply`]) and shipped ones
+//! ([`LiveGraphStore::apply_replicated`]) take the same commit routine,
+//! so both roles share one set of crash windows.
+//!
 //! The chaos crash points ([`super::faults::FaultPlan::wal_crash`],
 //! [`super::faults::FaultPlan::compact_crash`]) abort the process at the
 //! two interesting instants: post-commit/pre-apply and post-snapshot/
 //! pre-truncate. CI's kill-and-reboot smoke drives them end to end.
 
 use std::collections::VecDeque;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::time::Duration;
 
 use mmkgr_kg::{
     GraphHandle, KnowledgeGraph, MutationError, MutationStats, TripleOp, WalError, WalRecord,
@@ -69,7 +76,8 @@ pub enum LiveStoreError {
     /// logged or applied.
     Invalid(MutationError),
     /// The WAL append (or truncate) failed; the batch was not applied —
-    /// a mutation is never visible unless it is durable first.
+    /// a mutation is never visible unless it is durable first — and no
+    /// frame of it is left in the log.
     Wal(std::io::Error),
     /// Compaction's snapshot rewrite failed. The preceding batch *was*
     /// committed and applied; only the fold was abandoned (the WAL keeps
@@ -119,9 +127,9 @@ impl From<WalError> for RecoveryError {
     }
 }
 
-/// One caller's batch waiting in the group-commit queue. The leader
-/// (whoever holds the WAL lock) drains the queue, writes every frame,
-/// fsyncs once, and fills each ticket's result.
+/// One caller's batch waiting in the commit queue. The leader (whoever
+/// holds the WAL lock) drains the queue, commits it as one group, and
+/// fills each ticket's result.
 struct Ticket {
     ops: Vec<TripleOp>,
     done: Mutex<Option<Result<MutationOutcome, LiveStoreError>>>,
@@ -144,18 +152,15 @@ pub struct LiveGraphStore {
     /// Serializes writers and keeps WAL order identical to publish
     /// order; readers never take it.
     wal: Mutex<WalWriter>,
-    /// Batches waiting for a group-commit leader (empty when
-    /// `group_commit` is off).
+    /// Batches waiting for a commit leader.
     pending: Mutex<VecDeque<Arc<Ticket>>>,
-    /// Batch concurrent `apply` callers into one fsync (on by default;
-    /// the bench toggles it off to measure the one-fsync-per-batch
-    /// baseline).
-    group_commit: AtomicBool,
     /// Next WAL sequence number known fsync-durable: every record with
     /// `seq < committed` survives a crash. The replication shipper only
     /// ships below this watermark, so a follower can never see a frame
-    /// the primary might lose.
-    committed: AtomicU64,
+    /// the primary might lose. Only the commit routine moves it, and it
+    /// signals `commit_signal` when it does.
+    committed: Mutex<u64>,
+    commit_signal: Condvar,
     /// Records applied live (post-boot) by this process.
     applied: AtomicU64,
     /// Records replayed from the WAL at boot.
@@ -216,8 +221,8 @@ impl LiveGraphStore {
             graph: handle,
             wal: Mutex::new(writer),
             pending: Mutex::new(VecDeque::new()),
-            group_commit: AtomicBool::new(true),
-            committed: AtomicU64::new(committed),
+            committed: Mutex::new(committed),
+            commit_signal: Condvar::new(),
             applied: AtomicU64::new(0),
             replayed,
             compactions: AtomicU64::new(0),
@@ -267,20 +272,24 @@ impl LiveGraphStore {
         self.compactions.load(Ordering::Relaxed)
     }
 
-    /// Turn group commit on or off (on by default). Off restores the
-    /// one-fsync-per-batch write path.
-    pub fn set_group_commit(&self, on: bool) {
-        self.group_commit.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether concurrent `apply` callers share fsyncs.
-    pub fn group_commit(&self) -> bool {
-        self.group_commit.load(Ordering::Relaxed)
-    }
-
     /// WAL sequence number below which every record is fsync-durable.
     pub fn committed_seq(&self) -> u64 {
-        self.committed.load(Ordering::Acquire)
+        *self.committed.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Block until the committed watermark moves past `seen` (a value
+    /// read from [`Self::committed_seq`]) or `timeout` passes, and
+    /// return the watermark; returns at once if it already has. Keyed
+    /// on the watermark rather than on a reader's cursor: a compaction
+    /// can leave a tail's cursor behind the watermark for good, and a
+    /// cursor-keyed wait would then spin.
+    pub(crate) fn wait_for_commit(&self, seen: u64, timeout: Duration) -> u64 {
+        let committed = self.committed.lock().unwrap_or_else(|e| e.into_inner());
+        let (committed, _) = self
+            .commit_signal
+            .wait_timeout_while(committed, timeout, |c| *c <= seen)
+            .unwrap_or_else(|e| e.into_inner());
+        *committed
     }
 
     /// Path of the WAL file backing this store (the replication
@@ -296,19 +305,14 @@ impl LiveGraphStore {
     /// Validate → WAL-commit → apply → publish one batch; maybe compact.
     ///
     /// Concurrent callers are group-committed: each enqueues a ticket,
-    /// and whoever wins the WAL lock drains the queue, writes every
-    /// frame, fsyncs **once**, and publishes the batches in queue order
-    /// (WAL order and publish order stay identical). Batches form
+    /// and whoever wins the WAL lock drains the queue and commits it
+    /// with **one** fsync (see `commit_locked`). Groups form
     /// naturally from callers that arrive while the previous leader's
-    /// fsync is in flight.
+    /// fsync is in flight; an uncontended caller is a group of one.
     ///
     /// The returned outcome's `stats.touched` lists every entity whose
     /// action space changed — the key for targeted cache invalidation.
     pub fn apply(&self, ops: &[TripleOp]) -> Result<MutationOutcome, LiveStoreError> {
-        if !self.group_commit.load(Ordering::Relaxed) {
-            let mut wal = self.wal.lock().unwrap_or_else(|e| e.into_inner());
-            return self.apply_one_locked(&mut wal, ops);
-        }
         let ticket = Arc::new(Ticket {
             ops: ops.to_vec(),
             done: Mutex::new(None),
@@ -325,119 +329,18 @@ impl LiveGraphStore {
         }
         // We are the leader: drain the queue (our ticket is still in it —
         // only a leader removes tickets, and ours has no result yet) and
-        // commit the whole group under one fsync.
+        // commit the whole group.
         let group: Vec<Arc<Ticket>> = self
             .pending
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .drain(..)
             .collect();
-        self.commit_group_locked(&mut wal, &group);
+        let batches: Vec<&[TripleOp]> = group.iter().map(|t| t.ops.as_slice()).collect();
+        for (t, result) in group.iter().zip(self.commit_locked(&mut wal, &batches)) {
+            t.fill(result);
+        }
         ticket.take().expect("leader fills every drained ticket")
-    }
-
-    /// The pre-group-commit write path: one batch, one fsync.
-    fn apply_one_locked(
-        &self,
-        wal: &mut WalWriter,
-        ops: &[TripleOp],
-    ) -> Result<MutationOutcome, LiveStoreError> {
-        // Pin *under the writer lock*: `next` must succeed the currently
-        // published epoch, not a stale one.
-        let current = self.graph.pin();
-        let (next, stats) = current.apply_ops(ops).map_err(LiveStoreError::Invalid)?;
-        // Durability point: the record is fsynced before anyone can see
-        // the mutation. Crash-after-commit loses only the in-memory
-        // apply, which replay reconstructs.
-        let seq = wal.append(ops).map_err(LiveStoreError::Wal)?;
-        self.committed.store(wal.next_seq(), Ordering::Release);
-        let ordinal = self.applied.load(Ordering::Relaxed) + 1;
-        faults::maybe_wal_crash(ordinal);
-        let next = Arc::new(next);
-        let epoch = next.epoch();
-        self.track_epoch(epoch, &next);
-        self.graph.publish(next);
-        self.applied.store(ordinal, Ordering::Relaxed);
-        let pending = self.since_compact.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut compacted = false;
-        if self.compact_every > 0 && pending >= self.compact_every && self.rewrite.is_some() {
-            self.compact_locked(wal)?;
-            compacted = true;
-        }
-        Ok(MutationOutcome {
-            epoch,
-            seq,
-            stats,
-            compacted,
-        })
-    }
-
-    /// Commit a drained group: validate each batch against the evolving
-    /// graph, write every valid frame unsynced, fsync once, then publish
-    /// in queue order. Invalid batches get their typed error without
-    /// touching the log; they never block the rest of the group.
-    fn commit_group_locked(&self, wal: &mut WalWriter, group: &[Arc<Ticket>]) {
-        let mut graph = self.graph.pin();
-        // (ticket index, successor graph, stats, seq) per staged batch.
-        let mut staged: Vec<(usize, Arc<KnowledgeGraph>, MutationStats, u64)> = Vec::new();
-        for (i, ticket) in group.iter().enumerate() {
-            match graph.apply_ops(&ticket.ops) {
-                Err(e) => ticket.fill(Err(LiveStoreError::Invalid(e))),
-                Ok((next, stats)) => match wal.append_unsynced(&ticket.ops) {
-                    Err(e) => ticket.fill(Err(LiveStoreError::Wal(e))),
-                    Ok(seq) => {
-                        let next = Arc::new(next);
-                        graph = Arc::clone(&next);
-                        staged.push((i, next, stats, seq));
-                    }
-                },
-            }
-        }
-        if staged.is_empty() {
-            return;
-        }
-        // The group's single durability point.
-        if let Err(e) = wal.sync() {
-            let msg = e.to_string();
-            for (i, ..) in staged {
-                group[i].fill(Err(LiveStoreError::Wal(std::io::Error::other(msg.clone()))));
-            }
-            return;
-        }
-        self.committed.store(wal.next_seq(), Ordering::Release);
-        let last = staged.len() - 1;
-        for (n, (i, next, stats, seq)) in staged.into_iter().enumerate() {
-            let ordinal = self.applied.load(Ordering::Relaxed) + 1;
-            faults::maybe_wal_crash(ordinal);
-            let epoch = next.epoch();
-            self.track_epoch(epoch, &next);
-            self.graph.publish(next);
-            self.applied.store(ordinal, Ordering::Relaxed);
-            let pending = self.since_compact.fetch_add(1, Ordering::Relaxed) + 1;
-            let mut outcome = MutationOutcome {
-                epoch,
-                seq,
-                stats,
-                compacted: false,
-            };
-            // Compaction (if due) runs once, after the whole group; its
-            // outcome — including a failed snapshot rewrite — lands on
-            // the group's final batch, matching the single-batch path.
-            if n == last
-                && self.compact_every > 0
-                && pending >= self.compact_every
-                && self.rewrite.is_some()
-            {
-                match self.compact_locked(wal) {
-                    Ok(()) => outcome.compacted = true,
-                    Err(e) => {
-                        group[i].fill(Err(e));
-                        continue;
-                    }
-                }
-            }
-            group[i].fill(Ok(outcome));
-        }
     }
 
     /// Apply one record shipped from the primary, preserving its
@@ -456,40 +359,119 @@ impl LiveGraphStore {
             return Ok(None);
         }
         if rec.seq > expected {
-            return Err(LiveStoreError::Wal(std::io::Error::other(format!(
+            return Err(LiveStoreError::Wal(io::Error::other(format!(
                 "replication gap: got seq {}, expected {expected}",
                 rec.seq
             ))));
         }
-        let current = self.graph.pin();
-        let (next, stats) = current
-            .apply_ops(&rec.ops)
-            .map_err(LiveStoreError::Invalid)?;
-        let seq = wal.append(&rec.ops).map_err(LiveStoreError::Wal)?;
-        debug_assert_eq!(seq, rec.seq);
-        self.committed.store(wal.next_seq(), Ordering::Release);
-        let ordinal = self.applied.load(Ordering::Relaxed) + 1;
-        // The same post-commit/pre-publish crash point as the primary
-        // write path: `wal_crash` chaos plans fire on the shipping path
-        // too.
-        faults::maybe_wal_crash(ordinal);
-        let next = Arc::new(next);
-        let epoch = next.epoch();
-        self.track_epoch(epoch, &next);
-        self.graph.publish(next);
-        self.applied.store(ordinal, Ordering::Relaxed);
-        let pending = self.since_compact.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut compacted = false;
-        if self.compact_every > 0 && pending >= self.compact_every && self.rewrite.is_some() {
-            self.compact_locked(&mut wal)?;
-            compacted = true;
+        let mut results = self.commit_locked(&mut wal, &[&rec.ops]);
+        let outcome = results.pop().expect("one result per batch")?;
+        debug_assert_eq!(outcome.seq, rec.seq);
+        Ok(Some(outcome))
+    }
+
+    /// The one commit routine every WAL write takes. For a group of
+    /// batches, in order:
+    ///
+    /// 1. stage each batch against the graph the earlier ones leave and
+    ///    append its frame unsynced (an invalid batch gets its typed
+    ///    error without touching the log and never blocks the rest);
+    /// 2. fsync once — the group's single durability point;
+    /// 3. advance the `committed` watermark and wake its waiters;
+    /// 4. per batch, in queue order: the `wal_crash` hook, publish, count
+    ///    (WAL order and publish order stay identical);
+    /// 5. compact at most once, after the group; the compaction's
+    ///    outcome lands on the group's last committed batch.
+    ///
+    /// If an append or the fsync fails, staging stops, the log is rolled
+    /// back to where the group began and every batch not already
+    /// rejected as invalid gets the typed WAL error, so no frame
+    /// reported as failed can become durable later.
+    fn commit_locked(
+        &self,
+        wal: &mut WalWriter,
+        batches: &[&[TripleOp]],
+    ) -> Vec<Result<MutationOutcome, LiveStoreError>> {
+        let mark = wal.mark();
+        let mut graph = self.graph.pin();
+        let mut staged = Vec::with_capacity(batches.len());
+        let mut durable = Ok(());
+        for ops in batches {
+            let (next, stats) = match graph.apply_ops(ops) {
+                Ok(hit) => hit,
+                Err(e) => {
+                    staged.push(Err(LiveStoreError::Invalid(e)));
+                    continue;
+                }
+            };
+            match wal.append_unsynced(ops) {
+                Ok(seq) => {
+                    let next = Arc::new(next);
+                    graph = Arc::clone(&next);
+                    staged.push(Ok((next, stats, seq)));
+                }
+                Err(e) => {
+                    durable = Err(e);
+                    break;
+                }
+            }
         }
-        Ok(Some(MutationOutcome {
-            epoch,
-            seq,
-            stats,
-            compacted,
-        }))
+        let written = staged.iter().any(Result::is_ok);
+        if durable.is_ok() && written {
+            durable = match faults::maybe_io_error("WAL sync") {
+                Some(e) => Err(e),
+                None => wal.sync(),
+            };
+        }
+        if let Err(e) = durable {
+            let e = match wal.rollback(mark) {
+                Ok(()) => e,
+                Err(cut) => io::Error::new(e.kind(), format!("{e} (rollback failed: {cut})")),
+            };
+            let wal_err = || LiveStoreError::Wal(io::Error::new(e.kind(), e.to_string()));
+            let mut results: Vec<_> = staged.into_iter().map(|s| s.and(Err(wal_err()))).collect();
+            results.resize_with(batches.len(), || Err(wal_err()));
+            return results;
+        }
+        if written {
+            *self.committed.lock().unwrap_or_else(|e| e.into_inner()) = wal.next_seq();
+            self.commit_signal.notify_all();
+        }
+        let mut results: Vec<_> = staged
+            .into_iter()
+            .map(|s| {
+                let (next, stats, seq) = s?;
+                let ordinal = self.applied.load(Ordering::Relaxed) + 1;
+                faults::maybe_wal_crash(ordinal);
+                let epoch = next.epoch();
+                self.track_epoch(epoch, &next);
+                self.graph.publish(next);
+                self.applied.store(ordinal, Ordering::Relaxed);
+                self.since_compact.fetch_add(1, Ordering::Relaxed);
+                Ok(MutationOutcome {
+                    epoch,
+                    seq,
+                    stats,
+                    compacted: false,
+                })
+            })
+            .collect();
+        if let Some(last) = results.iter().rposition(Result::is_ok) {
+            if self.compact_every > 0
+                && self.since_compact.load(Ordering::Relaxed) >= self.compact_every
+                && self.rewrite.is_some()
+            {
+                match self.compact_locked(wal) {
+                    Ok(()) => {
+                        if let Ok(outcome) = &mut results[last] {
+                            outcome.compacted = true;
+                        }
+                    }
+                    Err(e) => results[last] = Err(e),
+                }
+            }
+        }
+        results
     }
 
     /// Force a compaction now (no-op without a snapshot rewrite hook).
@@ -592,6 +574,12 @@ mod tests {
         ))
     }
 
+    /// Hold for the whole test: it serializes with the `faults` tests,
+    /// whose `io_error` plan would fail any WAL sync run meanwhile.
+    fn no_faults() -> faults::FaultGuard {
+        faults::install(faults::FaultPlan::new())
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("mmkgr-live-{}-{}", std::process::id(), name));
@@ -601,6 +589,7 @@ mod tests {
 
     #[test]
     fn apply_commits_publishes_and_reports_touched() {
+        let _faults = no_faults();
         let path = tmp("apply");
         let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
         assert_eq!(store.replayed(), 0);
@@ -620,6 +609,7 @@ mod tests {
 
     #[test]
     fn invalid_batches_touch_nothing() {
+        let _faults = no_faults();
         let path = tmp("invalid");
         let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
         let err = store
@@ -637,6 +627,7 @@ mod tests {
 
     #[test]
     fn recovery_replays_committed_mutations() {
+        let _faults = no_faults();
         let path = tmp("recover");
         {
             let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
@@ -655,6 +646,7 @@ mod tests {
 
     #[test]
     fn snapshot_watermark_skips_folded_records() {
+        let _faults = no_faults();
         let path = tmp("watermark");
         {
             let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
@@ -687,6 +679,7 @@ mod tests {
 
     #[test]
     fn compaction_folds_rewrites_and_truncates() {
+        let _faults = no_faults();
         let path = tmp("compact");
         let rewrites: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let seen = Arc::clone(&rewrites);
@@ -734,6 +727,7 @@ mod tests {
 
     #[test]
     fn failed_rewrite_keeps_wal_and_durability() {
+        let _faults = no_faults();
         let path = tmp("badrewrite");
         let store = LiveGraphStore::open(base_graph(), &path, 0)
             .unwrap()
@@ -755,9 +749,9 @@ mod tests {
 
     #[test]
     fn concurrent_appliers_group_commit_every_batch() {
+        let _faults = no_faults();
         let path = tmp("group");
         let store = Arc::new(LiveGraphStore::open(base_graph(), &path, 0).unwrap());
-        assert!(store.group_commit());
         // 4 writer threads toggling distinct edges: every batch must
         // commit, in some serial order, with WAL order == publish order.
         let threads: Vec<_> = (0..4)
@@ -790,6 +784,7 @@ mod tests {
 
     #[test]
     fn group_commit_reports_invalid_batches_individually() {
+        let _faults = no_faults();
         let path = tmp("group-invalid");
         let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
         // Group of one invalid batch: typed error, nothing logged.
@@ -807,6 +802,7 @@ mod tests {
 
     #[test]
     fn apply_replicated_preserves_seq_skips_duplicates_rejects_gaps() {
+        let _faults = no_faults();
         let primary_wal = tmp("repl-primary");
         let follower_wal = tmp("repl-follower");
         let primary = LiveGraphStore::open(base_graph(), &primary_wal, 0).unwrap();
@@ -844,7 +840,32 @@ mod tests {
     }
 
     #[test]
+    fn commit_wakes_a_waiter_and_a_stale_watermark_returns_at_once() {
+        let _faults = no_faults();
+        let path = tmp("notify");
+        let store = Arc::new(LiveGraphStore::open(base_graph(), &path, 0).unwrap());
+        let long = Duration::from_secs(60);
+        let waiter = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                (store.wait_for_commit(0, long), started.elapsed())
+            })
+        };
+        store.apply(&[TripleOp::Insert(t(3, 0, 4))]).unwrap();
+        let (watermark, waited) = waiter.join().unwrap();
+        assert_eq!(watermark, 1);
+        assert!(waited < long / 4, "woken by the commit, not the timeout");
+        // `seen` is already behind the watermark: no wait at all.
+        let started = std::time::Instant::now();
+        assert_eq!(store.wait_for_commit(0, long), 1);
+        assert!(started.elapsed() < long / 4);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn epoch_lag_tracks_pinned_readers() {
+        let _faults = no_faults();
         let path = tmp("lag");
         let store = LiveGraphStore::open(base_graph(), &path, 0).unwrap();
         let pinned = store.pin(); // long-running reader at epoch 0

@@ -174,11 +174,20 @@ impl ModelRegistry {
         }
         let outcome = live.apply_replicated(rec)?;
         if let Some(o) = &outcome {
-            for name in &self.order {
-                self.models[name].invalidate_entities(&o.stats.touched);
-            }
+            self.invalidate_committed(o);
         }
         Ok(outcome)
+    }
+
+    /// The post-commit step of both write paths: drop every model's
+    /// cached answers whose source or ranked entities the committed
+    /// batch touched (the rest of every cache survives). Returns how
+    /// many entries were dropped.
+    fn invalidate_committed(&self, outcome: &MutationOutcome) -> usize {
+        self.order
+            .iter()
+            .map(|name| self.models[name].invalidate_entities(&outcome.stats.touched))
+            .sum()
     }
 
     /// `POST /v1/admin/promote` pipeline: flip a caught-up follower into
@@ -540,14 +549,7 @@ impl ModelRegistry {
                 detail: other.to_string(),
             },
         })?;
-        // Targeted invalidation: only cached answers whose source or
-        // ranked entities intersect the touched set are dropped; the
-        // rest of every cache survives the mutation.
-        let invalidated: usize = self
-            .order
-            .iter()
-            .map(|name| self.models[name].invalidate_entities(&outcome.stats.touched))
-            .sum();
+        let invalidated = self.invalidate_committed(&outcome);
         Ok(MutateResponse {
             protocol: PROTOCOL_VERSION.to_string(),
             epoch: outcome.epoch,

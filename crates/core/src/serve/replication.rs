@@ -31,7 +31,8 @@
 //! ([`LiveGraphStore::committed_seq`](super::mutation::LiveGraphStore::committed_seq)),
 //! so a follower can never observe a mutation the primary could still
 //! lose in a crash — zero committed-frame loss and no phantom frames,
-//! by construction.
+//! by construction. The tail is woken by the commit that moves that
+//! watermark, so a frame ships as soon as it is durable.
 //!
 //! **Promotion** (`POST /v1/admin/promote`): flips the role flag, which
 //! simultaneously stops the tailer, fences late frames from the old
@@ -54,9 +55,10 @@ use super::registry::ModelRegistry;
 use mmkgr_kg::store::wal;
 use mmkgr_kg::WalRecord;
 
-/// How long the shipper sleeps when the WAL has no new committed frames
-/// (and how often it re-checks the server stop flag).
-const SHIP_POLL: Duration = Duration::from_millis(10);
+/// Longest the shipper waits for a commit before it re-checks the
+/// server's stop flag. A commit ends the wait at once, so this bounds
+/// only shutdown, never lag.
+const STOP_CHECK: Duration = Duration::from_millis(50);
 
 /// The error detail prefix a tail request gets when `from_seq` predates
 /// the oldest retained WAL frame (compaction folded it into the
@@ -332,6 +334,10 @@ fn ship_tail(
     let mut cursor = from_seq; // next seq to ship
     let mut chunk = [0u8; 64 << 10];
     while !stop.load(Ordering::Relaxed) {
+        // Read the watermark before the file: every frame below it is
+        // already in the file, and a commit after this read ends the
+        // wait below at once.
+        let committed = live.committed_seq();
         let len = file.metadata().map_err(done)?.len();
         if len < pos {
             // Compaction truncated the WAL under us. Frames resume at
@@ -339,52 +345,56 @@ fn ship_tail(
             // seq cursor drops anything we already shipped.
             file.seek(SeekFrom::Start(wal::HEADER_LEN)).map_err(done)?;
             pos = wal::HEADER_LEN;
-            buf.clear();
             continue;
         }
-        let mut progressed = false;
-        if len > pos {
-            let n = file.read(&mut chunk).map_err(done)?;
-            if n > 0 {
-                buf.extend_from_slice(&chunk[..n]);
-                pos += n as u64;
-                progressed = true;
-            }
-        }
-        // Ship every complete, fsync-durable frame in the buffer.
+        // Ship every fsync-durable frame, a chunk at a time, up to the
+        // first one at or above the watermark.
+        let mut at_watermark = false;
         loop {
-            let (rec, used) = match wal::decode_frame(&buf) {
-                Ok(Some(hit)) => hit,
-                Ok(None) => break, // incomplete tail — wait for more bytes
-                Err(e) => {
-                    // Interior corruption: stop shipping rather than
-                    // relay bad frames (the primary's own recovery owns
-                    // this file's fate).
-                    return Err(ApiError::Internal {
-                        detail: format!("wal corrupt under tail: {e}"),
-                    });
+            while let Some((rec, used)) = wal::decode_frame(&buf).map_err(|e| {
+                // Interior corruption: stop shipping rather than relay
+                // bad frames (the primary's own recovery owns this
+                // file's fate).
+                ApiError::Internal {
+                    detail: format!("wal corrupt under tail: {e}"),
                 }
-            };
-            if rec.seq >= live.committed_seq() {
-                break; // written but not yet fsynced — never ship early
-            }
-            if rec.seq >= cursor {
-                if rec.seq > cursor {
-                    return Err(ApiError::Internal {
-                        detail: format!("wal gap under tail: jumped to seq {}", rec.seq),
-                    });
+            })? {
+                if rec.seq >= committed {
+                    at_watermark = true; // written but not yet fsynced
+                    break;
                 }
-                stream.write_all(&buf[..used]).map_err(done)?;
-                stream.flush().map_err(done)?;
-                rep.note_shipped();
-                cursor = rec.seq + 1;
+                if rec.seq >= cursor {
+                    if rec.seq > cursor {
+                        return Err(ApiError::Internal {
+                            detail: format!("wal gap under tail: jumped to seq {}", rec.seq),
+                        });
+                    }
+                    stream.write_all(&buf[..used]).map_err(done)?;
+                    stream.flush().map_err(done)?;
+                    rep.note_shipped();
+                    cursor = rec.seq + 1;
+                }
+                buf.drain(..used);
             }
-            buf.drain(..used);
-            progressed = true;
+            if at_watermark || pos >= len {
+                break;
+            }
+            let n = file.read(&mut chunk).map_err(done)?;
+            if n == 0 {
+                break;
+            }
+            buf.extend_from_slice(&chunk[..n]);
+            pos += n as u64;
         }
-        if !progressed {
-            std::thread::sleep(SHIP_POLL);
+        // Keep no bytes at or above the watermark across the wait: a
+        // failed commit cuts them, and the next group writes other
+        // batches under the same seqs. Re-read them after the commit.
+        if !buf.is_empty() {
+            pos -= buf.len() as u64;
+            file.seek(SeekFrom::Start(pos)).map_err(done)?;
+            buf.clear();
         }
+        live.wait_for_commit(committed, STOP_CHECK);
     }
     Ok(())
 }
@@ -695,6 +705,109 @@ fn header_value<'a>(head: &'a str, name_lower: &str) -> Option<&'a str> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{FaultPlan, LiveGraphStore, NameIndex};
+    use mmkgr_kg::{KnowledgeGraph, Triple, TripleOp};
+    use std::fs::OpenOptions;
+    use std::net::TcpListener;
+
+    /// Read the next shipped frame off a raw tail stream.
+    fn next_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> WalRecord {
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let Some((rec, used)) = wal::decode_frame(buf).unwrap() {
+                buf.drain(..used);
+                return rec;
+            }
+            let n = stream.read(&mut chunk).expect("a frame before the timeout");
+            assert!(n > 0, "shipper hung up");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+    }
+
+    #[test]
+    fn tail_never_ships_a_frame_cut_after_it_was_read() {
+        let _faults = faults::install(FaultPlan::new());
+        let dir = std::env::temp_dir().join(format!("mmkgr-tail-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal_path = dir.join("graph.wal");
+        let base = Arc::new(KnowledgeGraph::from_triples(
+            6,
+            2,
+            vec![Triple::new(0, 0, 1)],
+            None,
+        ));
+        let store = Arc::new(LiveGraphStore::open(base, &wal_path, 0).unwrap());
+        let first = [TripleOp::Insert(Triple::new(1, 0, 2))];
+        assert_eq!(store.apply(&first).unwrap().seq, 0);
+
+        // Frame A stands for a group's unsynced append: in the file, at
+        // the watermark, before the shipper's first read.
+        let a = [TripleOp::Insert(Triple::new(3, 0, 4))];
+        let cut_at = std::fs::metadata(&wal_path).unwrap().len();
+        let mut file = OpenOptions::new().append(true).open(&wal_path).unwrap();
+        file.write_all(&wal::encode_frame(1, &a)).unwrap();
+
+        let mut registry = ModelRegistry::new(NameIndex::new(
+            (0..6).map(|i| format!("e{i}")).collect(),
+            vec!["r0".into(), "r1".into()],
+        ));
+        registry.set_live(Arc::clone(&store));
+        let rep = ReplicationState::primary(ReplicaSource {
+            snapshot: dir.join("unused.mmkg"),
+            wal: wal_path.clone(),
+        });
+        let stop = Arc::new(AtomicBool::new(false));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shipper = {
+            let (stop, wal_path) = (Arc::clone(&stop), wal_path.clone());
+            std::thread::spawn(move || {
+                let (mut conn, _) = listener.accept().unwrap();
+                let _ = ship_tail(&mut conn, &wal_path, 0, &registry, &rep, &stop);
+            })
+        };
+        let mut client = TcpStream::connect(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 4096];
+        let body_at = loop {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "shipper hung up in the head");
+            buf.extend_from_slice(&chunk[..n]);
+            if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                break i + 4;
+            }
+        };
+        buf.drain(..body_at);
+        while buf.len() < wal::HEADER_LEN as usize {
+            let n = client.read(&mut chunk).unwrap();
+            assert!(n > 0, "shipper hung up in the preamble");
+            buf.extend_from_slice(&chunk[..n]);
+        }
+        buf.drain(..wal::HEADER_LEN as usize);
+        // Seq 0 arriving means the shipper has read A's bytes as well.
+        assert_eq!(next_frame(&mut client, &mut buf).ops, first);
+
+        // A's sync fails: the group cuts it, and B (a longer frame)
+        // commits under the same seq.
+        file.set_len(cut_at).unwrap();
+        let b = [
+            TripleOp::Insert(Triple::new(2, 1, 5)),
+            TripleOp::Insert(Triple::new(4, 0, 5)),
+        ];
+        assert_eq!(store.apply(&b).unwrap().seq, 1);
+        let shipped = next_frame(&mut client, &mut buf);
+        assert_eq!(shipped.seq, 1);
+        assert_eq!(shipped.ops, b, "the follower got the cut frame");
+
+        stop.store(true, Ordering::Relaxed);
+        drop(client);
+        shipper.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn replication_state_tracks_roles_and_lag() {

@@ -530,6 +530,12 @@ mod tests {
     use mmkgr_datagen::{generate, GenConfig};
     use mmkgr_embed::TransE;
 
+    /// Hold for the whole test: it serializes with the tests that
+    /// inject shard faults, which would otherwise hit this one's shards.
+    fn no_faults() -> faults::FaultGuard {
+        faults::install(faults::FaultPlan::new())
+    }
+
     fn shape() -> (usize, RelationSpace) {
         (23, RelationSpace::new(3))
     }
@@ -548,6 +554,7 @@ mod tests {
 
     #[test]
     fn sharded_scorer_matches_unsharded_exactly() {
+        let _faults = no_faults();
         let (n, rs) = shape();
         let scorer = transe(n, rs);
         let whole = ScorerReasoner::new("TransE", Arc::clone(&scorer), n, rs);
@@ -569,6 +576,7 @@ mod tests {
 
     #[test]
     fn sharded_scorer_breaks_ties_like_unsharded() {
+        let _faults = no_faults();
         // All-equal scores: the merged order must still be ascending
         // entity id, same as one global sort.
         struct Flat;
@@ -614,6 +622,7 @@ mod tests {
 
     #[test]
     fn routed_policy_matches_single_reasoner() {
+        let _faults = no_faults();
         let (queries, single, sharded) = policy_shards(4);
         assert!(sharded.has_path_evidence());
         for q in &queries {
@@ -722,6 +731,7 @@ mod tests {
 
     #[test]
     fn faults_disabled_answers_are_byte_identical() {
+        let _faults = no_faults();
         let (n, rs) = shape();
         let scorer = transe(n, rs);
         let whole = ScorerReasoner::new("TransE", Arc::clone(&scorer), n, rs);

@@ -32,6 +32,9 @@
 //!   regression *followed by more data* — is not a crash artifact and
 //!   surfaces as a typed [`WalError::Corrupt`] instead of being
 //!   silently dropped.
+//! - A **failed write** (an append or fsync error) is undone with
+//!   [`WalWriter::rollback`], so a frame reported as failed can never
+//!   become durable with a later fsync.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -350,12 +353,26 @@ pub fn replay(path: &Path) -> Result<Vec<WalRecord>, WalError> {
     Ok(scan_frames(&bytes[HEADER_LEN as usize..])?.records)
 }
 
+/// A point in the log [`WalWriter::rollback`] can return to: where the
+/// file ends and which sequence number the next append takes there.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct WalMark {
+    len: u64,
+    next_seq: u64,
+}
+
 /// The append side of the log: fsync-on-commit, torn tails truncated at
 /// open so every append lands on a clean frame boundary.
 pub struct WalWriter {
     file: File,
     path: PathBuf,
+    /// Bytes of the header and every whole frame written so far.
+    len: u64,
     next_seq: u64,
+    /// Set when a rollback could not cut the file back: the log may
+    /// still hold frames that were reported as failed, so every later
+    /// append is refused until the log is reopened.
+    broken: bool,
 }
 
 impl WalWriter {
@@ -396,7 +413,9 @@ impl WalWriter {
             WalWriter {
                 file,
                 path: path.to_path_buf(),
+                len: scan.valid_len,
                 next_seq: scan.next_seq,
+                broken: false,
             },
             scan.records,
         ))
@@ -431,8 +450,15 @@ impl WalWriter {
     /// commit writes several frames and then syncs them all with one
     /// `sync_data`, turning N fsyncs into one.
     pub fn append_unsynced(&mut self, ops: &[TripleOp]) -> io::Result<u64> {
+        if self.broken {
+            return Err(io::Error::other(
+                "wal: an earlier failed write could not be rolled back; reopen the log",
+            ));
+        }
         let seq = self.next_seq;
-        self.file.write_all(&encode_frame(seq, ops))?;
+        let frame = encode_frame(seq, ops);
+        self.file.write_all(&frame)?;
+        self.len += frame.len() as u64;
         self.next_seq = seq + 1;
         Ok(seq)
     }
@@ -447,9 +473,33 @@ impl WalWriter {
     /// in). Sequence numbers keep counting up — they are global to the
     /// graph's history, not to one log generation.
     pub fn truncate(&mut self) -> io::Result<()> {
-        self.file.set_len(HEADER_LEN)?;
+        self.cut(HEADER_LEN)
+    }
+
+    /// The current end of the log, to [`Self::rollback`] to.
+    pub fn mark(&self) -> WalMark {
+        WalMark {
+            len: self.len,
+            next_seq: self.next_seq,
+        }
+    }
+
+    /// Undo every frame written since `mark` — whole or torn — by
+    /// cutting the file back to it (durably), and hand out its sequence
+    /// numbers again. If the cut fails, the writer refuses every later
+    /// append.
+    pub fn rollback(&mut self, mark: WalMark) -> io::Result<()> {
+        self.next_seq = mark.next_seq;
+        let cut = self.cut(mark.len);
+        self.broken |= cut.is_err();
+        cut
+    }
+
+    fn cut(&mut self, len: u64) -> io::Result<()> {
+        self.file.set_len(len)?;
         self.file.sync_data()?;
-        self.file.seek(SeekFrom::Start(HEADER_LEN))?;
+        self.file.seek(SeekFrom::Start(len))?;
+        self.len = len;
         Ok(())
     }
 }
@@ -643,6 +693,39 @@ mod tests {
             std::fs::read(&path).unwrap(),
             std::fs::read(&path2).unwrap()
         );
+    }
+
+    #[test]
+    fn rollback_drops_frames_and_reuses_their_seqs() {
+        let path = tmp("rollback");
+        let (mut w, _) = WalWriter::open(&path).unwrap();
+        w.append(&[TripleOp::Insert(t(1, 0, 2))]).unwrap();
+        let mark = w.mark();
+        let kept = std::fs::read(&path).unwrap();
+        w.append_unsynced(&[TripleOp::Insert(t(3, 0, 4))]).unwrap();
+        w.append_unsynced(&[TripleOp::Insert(t(5, 0, 6))]).unwrap();
+        w.rollback(mark).unwrap();
+        assert_eq!(w.mark(), mark);
+        assert_eq!(std::fs::read(&path).unwrap(), kept);
+        assert_eq!(w.append(&[TripleOp::Insert(t(7, 0, 8))]).unwrap(), 1);
+        drop(w);
+        let records = replay(&path).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].ops, vec![TripleOp::Insert(t(7, 0, 8))]);
+    }
+
+    #[test]
+    fn failed_rollback_refuses_every_later_append() {
+        let path = tmp("broken");
+        let (mut w, _) = WalWriter::open(&path).unwrap();
+        let mark = w.mark();
+        w.append_unsynced(&[TripleOp::Insert(t(1, 0, 2))]).unwrap();
+        // A read-only handle makes the cut fail, as a failing disk would.
+        w.file = File::open(&path).unwrap();
+        assert!(w.rollback(mark).is_err());
+        w.file = OpenOptions::new().write(true).open(&path).unwrap();
+        assert!(w.rollback(mark).is_ok());
+        assert!(w.append_unsynced(&[TripleOp::Insert(t(3, 0, 4))]).is_err());
     }
 
     #[test]
