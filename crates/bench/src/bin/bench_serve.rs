@@ -23,17 +23,33 @@
 //! Plus `answer_batch` throughput on a persistent [`WorkerPool`] at 1
 //! and 4 workers, and the frontier-cache hit path.
 //!
+//! The `engine` section times the engine and its two policy layers at
+//! servebench's answer-cold shape (`fb_img_txt` scaled by 0.3, the
+//! default model config, width 16, T 4, distinct train keys): engine
+//! time per query, `raw_prepare_actions` per distinct entity, and the
+//! gate-attention action distribution per beam state with its mean
+//! action count. Its `frontier_checksum` hashes every final frontier's
+//! entities and `logp` bits, so a build that moves any of those bits on
+//! these keys reads a different checksum (up to hash collisions).
+//!
 //! Usage: `cargo run --release -p mmkgr-bench --bin bench_serve`
 //! (writes `BENCH_serve.json` to the current directory).
 
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mmkgr_core::beam::{beam_search_reference, BeamConfig, BeamEngine};
 use mmkgr_core::prelude::*;
 use mmkgr_core::serve::{KgReasoner, PolicyReasoner, Query, ServeConfig, WorkerPool};
+use mmkgr_core::RolloutPolicy;
 use mmkgr_datagen::{generate, GenConfig};
-use mmkgr_kg::{EntityId, RelationId};
+use mmkgr_kg::{Edge, EntityId, RelationId};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use serde::Serialize;
 
 /// Pre-change build (commit 8febb0a) measured on the PR machine (1-core
@@ -76,9 +92,28 @@ struct BatchBench {
 }
 
 #[derive(Serialize)]
+struct EngineBench {
+    dataset: String,
+    width: usize,
+    steps: usize,
+    queries: usize,
+    engine_ms_per_query_p50: f64,
+    prepare_actions_us_per_entity: f64,
+    entities_per_query: f64,
+    action_probs_us_per_state: f64,
+    states_per_query: f64,
+    /// Mean action count `m` over the timed states.
+    mean_actions: f64,
+    frontier_checksum: String,
+}
+
+#[derive(Serialize)]
 struct ServeBench {
     dataset: String,
     machine: String,
+    cpus: usize,
+    cpu_model: String,
+    rustc: String,
     commit: String,
     pre_change_commit: String,
     beam_search: Vec<BeamBench>,
@@ -86,6 +121,7 @@ struct ServeBench {
     /// Headline acceptance number: width-64 speedup of the engine's
     /// best serving mode over the recorded pre-change build.
     speedup_w64: f64,
+    engine: EngineBench,
 }
 
 /// Time `f` per iteration in nanoseconds: best (minimum) mean of five
@@ -154,6 +190,178 @@ fn bench_beam(
         speedup_exact: pre_change as f64 / engine_exact.max(1) as f64,
         speedup_dedup: pre_change as f64 / engine_dedup.max(1) as f64,
         speedup_exact_vs_reference: reference as f64 / engine_exact.max(1) as f64,
+    }
+}
+
+/// Distinct training keys timed by the `engine` section, and its shape.
+const ENGINE_KEYS: usize = 400;
+const ENGINE_WIDTH: usize = 16;
+const ENGINE_STEPS: usize = 4;
+/// Timed passes over the keys (the first pass also warms the engine).
+const ENGINE_PASSES: usize = 3;
+
+/// [`MmkgrModel`] with the engine's two policy layers timed: the
+/// per-entity `prepare_actions` and the per-group action distribution.
+/// Pure delegation, so the engine's outputs are unchanged.
+struct TimedPolicy<'a> {
+    model: &'a MmkgrModel,
+    prepare_ns: Cell<u64>,
+    prepares: Cell<u64>,
+    probs_ns: Cell<u64>,
+    states: Cell<u64>,
+    /// Σ states × action count, for the mean `m`.
+    state_actions: Cell<u64>,
+}
+
+fn add(cell: &Cell<u64>, v: u64) {
+    cell.set(cell.get() + v);
+}
+
+impl RolloutPolicy for TimedPolicy<'_> {
+    fn hidden_dim(&self) -> usize {
+        self.model.hidden_dim()
+    }
+
+    fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32> {
+        self.model.lstm_input(last_rel, current)
+    }
+
+    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
+        self.model.lstm_input_into(last_rel, current, out)
+    }
+
+    fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
+        self.model.lstm_step(x, h, c)
+    }
+
+    fn action_probs(
+        &self,
+        source: EntityId,
+        h: &[f32],
+        rq: RelationId,
+        actions: &[Edge],
+        out: &mut Vec<f32>,
+    ) {
+        self.model.action_probs(source, h, rq, actions, out)
+    }
+
+    fn prepare_actions(&self, actions: &[Edge]) -> Box<dyn Any> {
+        let t = Instant::now();
+        let prepared = self.model.prepare_actions(actions);
+        add(&self.prepare_ns, t.elapsed().as_nanos() as u64);
+        add(&self.prepares, 1);
+        prepared
+    }
+
+    fn action_probs_group_prepared(
+        &self,
+        source: EntityId,
+        hs: &[f32],
+        states: usize,
+        rq: RelationId,
+        actions: &[Edge],
+        prepared: &dyn Any,
+        out: &mut Vec<f32>,
+    ) {
+        let t = Instant::now();
+        self.model
+            .action_probs_group_prepared(source, hs, states, rq, actions, prepared, out);
+        add(&self.probs_ns, t.elapsed().as_nanos() as u64);
+        add(&self.states, states as u64);
+        add(&self.state_actions, (states * actions.len()) as u64);
+    }
+
+    fn prepare_step(&self, last_rel: RelationId, current: EntityId) -> Box<dyn Any> {
+        self.model.prepare_step(last_rel, current)
+    }
+
+    fn lstm_step_prepared(
+        &self,
+        last_rel: RelationId,
+        current: EntityId,
+        prepared: &dyn Any,
+        h: &mut [f32],
+        c: &mut [f32],
+    ) {
+        self.model
+            .lstm_step_prepared(last_rel, current, prepared, h, c)
+    }
+}
+
+/// FNV-1a over the frontier's entities and `logp` bits, folded into `h`.
+fn fold_frontier(engine: &BeamEngine, mut h: u64) -> u64 {
+    for beam in engine.frontier() {
+        for word in [u64::from(beam.entity.0), u64::from(beam.logp.to_bits())] {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn bench_engine() -> EngineBench {
+    let kg = generate(&GenConfig::fb_img_txt().scaled(0.3));
+    let model = MmkgrModel::new(&kg, MmkgrConfig::default(), None);
+    let mut keys: Vec<(u32, u32)> = kg
+        .split
+        .train
+        .iter()
+        .map(|t| (t.s.0, t.r.0))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    keys.shuffle(&mut StdRng::seed_from_u64(0));
+    keys.truncate(ENGINE_KEYS);
+    let cfg = BeamConfig::exact(ENGINE_WIDTH, ENGINE_STEPS);
+    let mut engine = BeamEngine::new();
+
+    // Engine time per query, untimed inside; every pass must produce the
+    // same frontiers.
+    let mut query_ms = Vec::with_capacity(ENGINE_PASSES * keys.len());
+    let mut checksum = None;
+    for _ in 0..ENGINE_PASSES {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &(s, r) in &keys {
+            let t = Instant::now();
+            engine.run(&model, &kg.graph, EntityId(s), RelationId(r), &cfg);
+            query_ms.push(t.elapsed().as_secs_f64() * 1e3);
+            h = fold_frontier(&engine, h);
+        }
+        assert!(
+            checksum.is_none_or(|c| c == h),
+            "engine passes disagree: the engine is not deterministic"
+        );
+        checksum = Some(h);
+    }
+    query_ms.sort_by(f64::total_cmp);
+
+    // The two policy layers, timed through a delegating policy.
+    let timed = TimedPolicy {
+        model: &model,
+        prepare_ns: Cell::new(0),
+        prepares: Cell::new(0),
+        probs_ns: Cell::new(0),
+        states: Cell::new(0),
+        state_actions: Cell::new(0),
+    };
+    for &(s, r) in &keys {
+        engine.run(&timed, &kg.graph, EntityId(s), RelationId(r), &cfg);
+    }
+    let per = |ns: &Cell<u64>, n: &Cell<u64>| ns.get() as f64 / 1e3 / n.get().max(1) as f64;
+    let queries = keys.len() as f64;
+    EngineBench {
+        dataset: kg.name.clone(),
+        width: ENGINE_WIDTH,
+        steps: ENGINE_STEPS,
+        queries: keys.len(),
+        engine_ms_per_query_p50: query_ms[query_ms.len() / 2],
+        prepare_actions_us_per_entity: per(&timed.prepare_ns, &timed.prepares),
+        entities_per_query: timed.prepares.get() as f64 / queries,
+        action_probs_us_per_state: per(&timed.probs_ns, &timed.states),
+        states_per_query: timed.states.get() as f64 / queries,
+        mean_actions: timed.state_actions.get() as f64 / timed.states.get().max(1) as f64,
+        frontier_checksum: format!("{:016x}", checksum.unwrap_or_default()),
     }
 }
 
@@ -237,10 +445,29 @@ fn main() {
         queries.len()
     );
 
+    let engine = bench_engine();
+    println!(
+        "engine ({}, w{} T{}, {} keys): p50 {:.2} ms/query; prepare_actions {:.1} us x {:.1}/query; action probs {:.1} us x {:.1} states/query (mean m {:.1}); checksum {}",
+        engine.dataset,
+        engine.width,
+        engine.steps,
+        engine.queries,
+        engine.engine_ms_per_query_p50,
+        engine.prepare_actions_us_per_entity,
+        engine.entities_per_query,
+        engine.action_probs_us_per_state,
+        engine.states_per_query,
+        engine.mean_actions,
+        engine.frontier_checksum,
+    );
+
     let stamp = mmkgr_bench::RunStamp::capture();
     let out = ServeBench {
         dataset: "tiny".into(),
         machine: stamp.machine,
+        cpus: stamp.cpus,
+        cpu_model: stamp.cpu_model,
+        rustc: stamp.rustc,
         commit: stamp.commit,
         pre_change_commit: PRE_CHANGE_COMMIT.into(),
         beam_search: beam_rows,
@@ -255,6 +482,7 @@ fn main() {
             cached_qps,
         },
         speedup_w64,
+        engine,
     };
     // Field-wise merge: this binary owns the top-level engine keys,
     // while `bench_http` / `bench_store` own the "http" / "store"

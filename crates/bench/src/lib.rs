@@ -48,35 +48,66 @@ pub fn print_series(label: &str, xs: &[(String, f64)]) {
     println!();
 }
 
-/// Provenance stamp for persisted bench sections: which machine and
-/// commit produced the numbers. Benchmarks are only comparable within a
-/// machine, and "which build was this" is the first question any perf
-/// regression hunt asks — so every `BENCH_*.json` section carries one.
+/// Provenance stamp for persisted bench sections: which machine,
+/// compiler and commit produced the numbers. Benchmarks are only
+/// comparable within a machine, and "which build was this" is the first
+/// question any perf regression hunt asks — so every `BENCH_*.json`
+/// section carries one.
 #[derive(Clone, Debug, Serialize)]
 pub struct RunStamp {
+    /// Hostname.
     pub machine: String,
+    /// CPUs available to the process.
+    pub cpus: usize,
+    /// The first `model name` of `/proc/cpuinfo`.
+    pub cpu_model: String,
+    /// `rustc --version` of the compiler that built the binary.
+    pub rustc: String,
+    /// Short HEAD, with `-dirty` if the work tree has changes.
     pub commit: String,
 }
 
 impl RunStamp {
-    /// Best-effort capture: hostname (or `unknown`) plus the short git
-    /// HEAD (or `unknown` outside a work tree).
+    /// Best-effort capture; a field that cannot be read is `unknown`
+    /// (the commit outside a work tree, the CPU model off Linux).
     pub fn capture() -> Self {
+        let unknown = || "unknown".to_string();
         let machine = std::fs::read_to_string("/proc/sys/kernel/hostname")
             .map(|s| s.trim().to_string())
             .ok()
             .filter(|s| !s.is_empty())
             .or_else(|| std::env::var("HOSTNAME").ok())
-            .unwrap_or_else(|| "unknown".to_string());
+            .unwrap_or_else(unknown);
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find_map(|l| l.strip_prefix("model name"))
+                    .map(|v| v.trim_start_matches([' ', '\t', ':']).trim().to_string())
+            })
+            .unwrap_or_else(unknown);
+        // `-dirty` marks numbers measured on uncommitted changes.
         let commit = std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
+            .args([
+                "describe",
+                "--always",
+                "--dirty",
+                "--abbrev=7",
+                "--exclude=*",
+            ])
             .output()
             .ok()
             .filter(|o| o.status.success())
             .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
             .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
-        RunStamp { machine, commit }
+            .unwrap_or_else(unknown);
+        RunStamp {
+            machine,
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model,
+            rustc: env!("MMKGR_BENCH_RUSTC").to_string(),
+            commit,
+        }
     }
 }
 
@@ -184,5 +215,13 @@ mod tests {
         };
         let row = ModelRow::new("MMKGR", &r);
         assert_eq!(row.cells(), vec!["MMKGR", "80.2", "73.6", "87.8", "92.8"]);
+    }
+
+    #[test]
+    fn run_stamp_names_the_machine_and_compiler() {
+        let stamp = RunStamp::capture();
+        assert!(stamp.cpus >= 1);
+        assert!(stamp.rustc.starts_with("rustc "), "{}", stamp.rustc);
+        assert!(!stamp.cpu_model.is_empty() && !stamp.machine.is_empty());
     }
 }

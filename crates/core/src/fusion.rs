@@ -205,11 +205,18 @@ impl GateAttention {
             s.gt.map_inplace(sigmoid);
             s.gtk.copy_from(&s.gt); // (gt ⊙ K)
             row_scale_inplace(&mut s.gtk, s.k.row(0));
-            // ((1−gt) ⊙ Q), in place over gt (gtk already captured it).
-            for (o, &qv) in s.gt.as_mut_slice().iter_mut().zip(px.q.as_slice()) {
-                *o = (1.0 - *o) * qv;
+            // ((1−gt) ⊙ Q)ᵀ, written d×m so that Eq. 9 is a plain product:
+            // its in-order sums over d equal the row-by-row dot products
+            // of `(gt ⊙ K) · ((1−gt) ⊙ Q)ᵀ` bit for bit.
+            let (m, d) = s.gt.shape();
+            s.gqt.reset(d, m);
+            let (gt, q, gqt) = (s.gt.as_slice(), px.q.as_slice(), s.gqt.as_mut_slice());
+            for i in 0..m {
+                for c in 0..d {
+                    gqt[c * m + i] = (1.0 - gt[i * d + c]) * q[i * d + c];
+                }
             }
-            s.gtk.matmul_nt_into(&s.gt, &mut s.att); // Eq. 9
+            s.gtk.matmul_into(&s.gqt, &mut s.att); // Eq. 9
             for r in 0..s.att.rows() {
                 mmkgr_tensor::softmax_slice(s.att.row_mut(r));
             }
@@ -256,6 +263,8 @@ pub struct GateScratch {
     br: Matrix,
     gt: Matrix,
     gtk: Matrix,
+    /// `((1−gt) ⊙ Q)ᵀ`, the right operand of Eq. 9.
+    gqt: Matrix,
     att: Matrix,
     vhat: Matrix,
     /// The output `Z` of the last forward.
@@ -274,6 +283,7 @@ impl GateScratch {
             br: empty(),
             gt: empty(),
             gtk: empty(),
+            gqt: empty(),
             att: empty(),
             vhat: empty(),
             z: empty(),
@@ -346,6 +356,98 @@ mod tests {
             assert_eq!(z_tape.shape(), z_raw.shape());
             for (a, b) in z_tape.as_slice().iter().zip(z_raw.as_slice()) {
                 assert!((a - b).abs() < 1e-4, "variant ({fu},{fi}): {a} vs {b}");
+            }
+        }
+    }
+
+    /// Eqs. 5–12 as plain loops: every sum runs over its index in order
+    /// from 0.0, exactly the summation order `Matrix` promises.
+    fn plain_loop_gate(
+        params: &Params,
+        g: &GateAttention,
+        y: &Matrix,
+        x: &Matrix,
+        fu: bool,
+        fi: bool,
+    ) -> Matrix {
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        let prod = |a: &Matrix, b: &Matrix| {
+            Matrix::from_fn(a.rows(), b.cols(), |i, c| {
+                let mut s = 0.0f32;
+                for k in 0..a.cols() {
+                    s += a.get(i, k) * b.get(k, c);
+                }
+                s
+            })
+        };
+        let w = |id: ParamId| params.value(id);
+        let q = prod(x, w(g.wq)); // Eq. 5
+        let k = prod(y, w(g.wk));
+        let v = prod(y, w(g.wv));
+        let (klk, q_lq) = (prod(&k, w(g.wlk)), prod(&q, w(g.wlq)));
+        let (vrv, q_rq) = (prod(&v, w(g.wrv)), prod(&q, w(g.wrq)));
+        let m = x.rows();
+        let bl = Matrix::from_fn(m, g.j, |i, c| q_lq.get(i, c) * klk.get(0, c)); // Eq. 6
+        let br = Matrix::from_fn(m, g.j, |i, c| q_rq.get(i, c) * vrv.get(0, c)); // Eq. 7
+        let v_hat = if fu {
+            let gt = prod(&bl, w(g.wm)).map(sigmoid); // Eq. 8
+            let mut att = Matrix::from_fn(m, m, |i, l| {
+                let mut s = 0.0f32;
+                for c in 0..g.d {
+                    s += (gt.get(i, c) * k.get(0, c)) * ((1.0 - gt.get(l, c)) * q.get(l, c));
+                }
+                s
+            }); // Eq. 9, before the softmax
+            for i in 0..m {
+                let row = att.row_mut(i);
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0f32;
+                for a in row.iter_mut() {
+                    *a = (*a - max).exp();
+                    sum += *a;
+                }
+                let inv = 1.0 / sum;
+                for a in row.iter_mut() {
+                    *a *= inv;
+                }
+            }
+            prod(&att, &br) // Eq. 10
+        } else {
+            bl
+        };
+        if fi {
+            br.zip_map(&v_hat, |b, vh| {
+                let p = b * vh;
+                sigmoid(p) * p // Eqs. 11–12
+            })
+        } else {
+            v_hat
+        }
+    }
+
+    #[test]
+    fn raw_forward_is_bit_identical_to_plain_loops() {
+        // d = 32 and j = 24 put the products on full 16-column panels and
+        // on 8- and 1-column tails; m = 40 and 48 are the serving graph's
+        // typical and capped out-degrees.
+        let mut params = Params::new();
+        let gate = GateAttention::new(&mut params, &mut seeded_rng(1), 20, 24, 32, 24);
+        let y = rand(1, 20, 12);
+        let mut scratch = GateScratch::new();
+        for (fu, fi) in [(true, true), (true, false), (false, true), (false, false)] {
+            for m in [1, 7, 40, 48] {
+                let x = rand(m, 24, 13 + m as u64);
+                let px = gate.prepare_x(&params, &x);
+                gate.forward_raw_scratch(&params, &y, &px, fu, fi, &mut scratch);
+                let want = plain_loop_gate(&params, &gate, &y, &x, fu, fi);
+                assert_eq!(scratch.z.shape(), (m, 24));
+                for (a, b) in scratch.z.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "variant ({fu},{fi}), m = {m}: {a} vs {b}"
+                    );
+                }
             }
         }
     }

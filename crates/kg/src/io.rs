@@ -171,15 +171,18 @@ pub fn write_triples(path: &Path, triples: &[Triple], vocab: &Vocab) -> Result<(
 mod tests {
     use super::*;
 
-    fn tmpdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mmkgr_io_{}", std::process::id()));
+    /// A fresh directory of the test's own: tests run in parallel and
+    /// each removes its directory when done.
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("mmkgr_io_{}_{test}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
     #[test]
     fn roundtrip_triples_file() {
-        let dir = tmpdir();
+        let dir = tmpdir("roundtrip_triples_file");
         let path = dir.join("train.txt");
         std::fs::write(
             &path,
@@ -203,7 +206,7 @@ mod tests {
 
     #[test]
     fn comments_and_blank_lines_skipped() {
-        let dir = tmpdir();
+        let dir = tmpdir("comments_and_blank_lines_skipped");
         let path = dir.join("c.txt");
         std::fs::write(&path, "# header\n\na r b\n").unwrap();
         let mut vocab = Vocab::default();
@@ -214,7 +217,7 @@ mod tests {
 
     #[test]
     fn malformed_line_reports_position() {
-        let dir = tmpdir();
+        let dir = tmpdir("malformed_line_reports_position");
         let path = dir.join("bad.txt");
         std::fs::write(&path, "a r b\nonly_two fields\n").unwrap();
         let mut vocab = Vocab::default();
@@ -228,7 +231,7 @@ mod tests {
 
     #[test]
     fn split_dir_with_missing_valid_test() {
-        let dir = tmpdir();
+        let dir = tmpdir("split_dir_with_missing_valid_test");
         std::fs::write(dir.join("train.txt"), "a r b\nb r c\n").unwrap();
         let (split, vocab) = load_split_dir(&dir).unwrap();
         assert_eq!(split.train.len(), 2);

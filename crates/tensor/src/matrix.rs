@@ -283,51 +283,37 @@ impl Matrix {
     }
 
     // ---- products ------------------------------------------------------
+    //
+    // Summation order: `matmul`, `matmul_into` and `matmul_nt` share one
+    // kernel, `product`, which computes every output element as
+    // `(((0.0 + a₀·b₀) + a₁·b₁) + …) + aₙ₋₁·bₙ₋₁`: in order over k,
+    // starting from 0.0, each product rounded before it is added (no FMA).
+    // That order is the contract that keeps the tape, the raw inference
+    // forwards and every stored model bit-identical. A future kernel must
+    // keep it, or say that it moves bits.
 
-    /// `self · other` — the classic row-major ikj kernel. The inner loop
-    /// runs over contiguous rows of both the output and `other`, which is
-    /// what lets LLVM vectorize it.
+    /// `self · other`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, n, p) = (self.rows, self.cols, other.cols);
-        let mut out = Matrix::zeros(m, p);
-        for i in 0..m {
-            let arow = &self.data[i * n..(i + 1) * n];
-            let orow = &mut out.data[i * p..(i + 1) * p];
-            for (k, &a) in arow.iter().enumerate() {
-                let brow = &other.data[k * p..(k + 1) * p];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        let mut out = Matrix::zeros(0, 0);
+        self.matmul_into(other, &mut out);
         out
     }
 
-    /// [`Self::matmul`] into a caller-owned scratch matrix: identical
-    /// kernel (bit-identical output), no allocation once `out` is warm.
+    /// [`Self::matmul`] into a caller-owned scratch matrix: same kernel
+    /// (bit-identical output), no allocation once `out` is warm.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "matmul_into: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, n, p) = (self.rows, self.cols, other.cols);
-        out.reset(m, p);
-        for i in 0..m {
-            let arow = &self.data[i * n..(i + 1) * n];
-            let orow = &mut out.data[i * p..(i + 1) * p];
-            for (k, &a) in arow.iter().enumerate() {
-                let brow = &other.data[k * p..(k + 1) * p];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-        }
+        out.reset(self.rows, other.cols);
+        product(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            (self.rows, self.cols, other.cols),
+        );
     }
 
     /// `selfᵀ · other` without materializing the transpose.
@@ -352,52 +338,14 @@ impl Matrix {
         out
     }
 
-    /// `self · otherᵀ` without materializing the transpose.
+    /// `self · otherᵀ`: the transpose, then the shared kernel.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt: {}x{} · {}x{}ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out.data[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
-        out
-    }
-
-    /// [`Self::matmul_nt`] into a caller-owned scratch matrix: identical
-    /// kernel (bit-identical output), no allocation once `out` is warm.
-    pub fn matmul_nt_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(
-            self.cols, other.cols,
-            "matmul_nt_into: {}x{} · {}x{}ᵀ",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other.rows);
-        out.reset(m, n);
-        for i in 0..m {
-            let arow = &self.data[i * k..(i + 1) * k];
-            let orow = &mut out.data[i * n..(i + 1) * n];
-            for (j, o) in orow.iter_mut().enumerate() {
-                let brow = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in arow.iter().zip(brow) {
-                    acc += a * b;
-                }
-                *o = acc;
-            }
-        }
+        self.matmul(&other.transpose())
     }
 
     /// Materialized transpose.
@@ -558,6 +506,81 @@ impl Matrix {
     }
 }
 
+/// `out = a · b` for row-major `a: m×n`, `b: n×p` and `out: m×p`, in
+/// the summation order documented at [`Matrix::matmul`]. The output is
+/// walked in blocks of two rows by 16, then 8, then 1 columns; a block's
+/// accumulators stay in a fixed-size array (registers) while k runs, and
+/// are stored once at the end.
+fn product(a: &[f32], b: &[f32], out: &mut [f32], (m, n, p): (usize, usize, usize)) {
+    let mut i = 0;
+    while i + 2 <= m {
+        row_block::<2>(a, b, out, (n, p), i);
+        i += 2;
+    }
+    if i < m {
+        row_block::<1>(a, b, out, (n, p), i);
+    }
+}
+
+/// Rows `i..i + R` of `out`, column panel by column panel.
+fn row_block<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    (n, p): (usize, usize),
+    i: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * n..(i + r + 1) * n]);
+    let mut j = 0;
+    while j + 16 <= p {
+        panel::<R, 16>(&arows, b, out, p, (i, j));
+        j += 16;
+    }
+    if j + 8 <= p {
+        panel::<R, 8>(&arows, b, out, p, (i, j));
+        j += 8;
+    }
+    while j < p {
+        panel::<R, 1>(&arows, b, out, p, (i, j));
+        j += 1;
+    }
+}
+
+/// The `R × L` output block at row `i`, column `j`: each element is its
+/// own accumulator, summed over k in order from 0.0.
+///
+/// The loops step indices by hand rather than through iterator
+/// adapters: unoptimized builds (the test profile) run every adapter
+/// step as a call, several times slower than an index step.
+fn panel<const R: usize, const L: usize>(
+    arows: &[&[f32]; R],
+    b: &[f32],
+    out: &mut [f32],
+    p: usize,
+    (i, j): (usize, usize),
+) {
+    let n = arows[0].len();
+    let mut acc = [[0.0f32; L]; R];
+    let mut k = 0;
+    while k < n {
+        let bk = &b[k * p + j..k * p + j + L];
+        let mut r = 0;
+        while r < R {
+            let x = arows[r][k];
+            let mut l = 0;
+            while l < L {
+                acc[r][l] += x * bk[l];
+                l += 1;
+            }
+            r += 1;
+        }
+        k += 1;
+    }
+    for (r, accr) in acc.iter().enumerate() {
+        out[(i + r) * p + j..(i + r) * p + j + L].copy_from_slice(accr);
+    }
+}
+
 /// In-place numerically-stable softmax over a slice.
 pub fn softmax_slice(xs: &mut [f32]) {
     if xs.is_empty() {
@@ -631,11 +654,7 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let a = Matrix::from_fn(3, 4, |r, c| (r + 2 * c) as f32 * 0.25);
         let b = Matrix::from_fn(5, 4, |r, c| (r * 4 + c) as f32 * 0.1);
-        let fast = a.matmul_nt(&b);
-        let slow = a.matmul(&b.transpose());
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((x - y).abs() < 1e-5);
-        }
+        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
     }
 
     #[test]

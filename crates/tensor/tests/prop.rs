@@ -10,6 +10,58 @@ fn arb_matrix(max_dim: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// `a: m×n` and `b: n×p` with m, n, p in 0..=70: full 16-column panels,
+/// 8- and 1-column tails, odd row counts and empty operands.
+fn arb_product() -> impl Strategy<Value = (Matrix, Matrix)> {
+    (0..=70usize, 0..=70usize, 0..=70usize).prop_flat_map(|(m, n, p)| {
+        (
+            proptest::collection::vec(-10.0f32..10.0, m * n),
+            proptest::collection::vec(-10.0f32..10.0, n * p),
+        )
+            .prop_map(move |(a, b)| (Matrix::from_vec(m, n, a), Matrix::from_vec(n, p, b)))
+    })
+}
+
+/// The summation-order contract spelled out: each output is summed over
+/// k in order, from 0.0, with a separate multiply and add.
+fn naive_product_bits(a: &Matrix, b: &Matrix) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.rows() * b.cols());
+    for i in 0..a.rows() {
+        for j in 0..b.cols() {
+            let mut s = 0.0f32;
+            for k in 0..a.cols() {
+                s += a.get(i, k) * b.get(k, j);
+            }
+            out.push(s.to_bits());
+        }
+    }
+    out
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn products_are_bit_identical_to_the_naive_loop((a, b) in arb_product()) {
+        let want = naive_product_bits(&a, &b);
+        let plain = a.matmul(&b);
+        prop_assert_eq!(plain.shape(), (a.rows(), b.cols()));
+        prop_assert_eq!(bits(&plain), want.clone());
+        // A warm scratch of another shape must be fully overwritten.
+        let mut out = Matrix::full(3, 5, f32::NAN);
+        a.matmul_into(&b, &mut out);
+        prop_assert_eq!(out.shape(), (a.rows(), b.cols()));
+        prop_assert_eq!(bits(&out), want.clone());
+        let nt = a.matmul_nt(&b.transpose());
+        prop_assert_eq!(nt.shape(), (a.rows(), b.cols()));
+        prop_assert_eq!(bits(&nt), want);
+    }
+}
+
 proptest! {
     #[test]
     fn softmax_is_a_distribution(mut xs in proptest::collection::vec(-50.0f32..50.0, 1..32)) {
