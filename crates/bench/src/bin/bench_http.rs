@@ -141,7 +141,7 @@ struct LoopResult {
     errors: usize,
 }
 
-/// `p` in [0,1] over an unsorted sample (sorted in place).
+/// `p` in `[0, 1]` over an unsorted sample (sorted in place).
 fn percentile(samples: &mut [f64], p: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;

@@ -12,13 +12,9 @@
 //! - **engine (dedup)** — `BeamEngine` with frontier deduplication, the
 //!   serving fast path (`ServeConfig::beam_dedup`).
 //!
-//! The JSON also carries the **pre-change baseline**: wall-clock numbers
-//! of the *actual pre-PR build* (commit `8febb0a`, which predates the
-//! engine, the scratch-pooled kernels, and the grouped forwards),
-//! measured once on the same machine with the same harness and recorded
-//! here so the perf trajectory stays in-repo. `speedup_w64` — the
-//! headline — is that recorded baseline over the live dedup-engine
-//! number.
+//! Every ratio it writes compares two numbers taken in the same run
+//! (`speedup_exact_vs_reference`), never a live number against one
+//! recorded on another machine.
 //!
 //! Plus `answer_batch` throughput on a persistent [`WorkerPool`] at 1
 //! and 4 workers, and the frontier-cache hit path.
@@ -52,29 +48,14 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::Serialize;
 
-/// Pre-change build (commit 8febb0a) measured on the PR machine (1-core
-/// container) with a best-of-three 500 ms-trial variant of `time_ns`
-/// (the live numbers use best-of-five 400 ms trials; both estimate the
-/// same noise-floor minimum). See the module docs. Keyed by beam width.
-const PRE_CHANGE_COMMIT: &str = "8febb0a";
-const PRE_CHANGE_W8_NS: u64 = 314_253;
-const PRE_CHANGE_W64_NS: u64 = 1_818_687;
-const PRE_CHANGE_WORKERS1_QPS: f64 = 2622.0;
-const PRE_CHANGE_WORKERS4_QPS: f64 = 2523.0;
-
 #[derive(Serialize)]
 struct BeamBench {
     width: usize,
     steps: usize,
-    /// Recorded wall time of the pre-PR build (see PRE_CHANGE_COMMIT).
-    pre_change_ns_per_query: u64,
     /// Live: retained pre-engine algorithm on current kernels.
     reference_ns_per_query: u64,
     engine_exact_ns_per_query: u64,
     engine_dedup_ns_per_query: u64,
-    /// pre_change / engine_*.
-    speedup_exact: f64,
-    speedup_dedup: f64,
     /// reference / engine_exact: the engine-structure win alone.
     speedup_exact_vs_reference: f64,
 }
@@ -84,8 +65,6 @@ struct BatchBench {
     queries: usize,
     beam: usize,
     steps: usize,
-    pre_change_workers1_qps: f64,
-    pre_change_workers4_qps: f64,
     workers1_qps: f64,
     workers4_qps: f64,
     cached_qps: f64,
@@ -115,12 +94,8 @@ struct ServeBench {
     cpu_model: String,
     rustc: String,
     commit: String,
-    pre_change_commit: String,
     beam_search: Vec<BeamBench>,
     answer_batch: BatchBench,
-    /// Headline acceptance number: width-64 speedup of the engine's
-    /// best serving mode over the recorded pre-change build.
-    speedup_w64: f64,
     engine: EngineBench,
 }
 
@@ -175,20 +150,12 @@ fn bench_beam(
         engine.run(model, &kg.graph, next(), RelationId(0), &dedup);
         std::hint::black_box(engine.frontier_len());
     });
-    let pre_change = match width {
-        8 => PRE_CHANGE_W8_NS,
-        64 => PRE_CHANGE_W64_NS,
-        _ => 0,
-    };
     BeamBench {
         width,
         steps,
-        pre_change_ns_per_query: pre_change,
         reference_ns_per_query: reference,
         engine_exact_ns_per_query: engine_exact,
         engine_dedup_ns_per_query: engine_dedup,
-        speedup_exact: pre_change as f64 / engine_exact.max(1) as f64,
-        speedup_dedup: pre_change as f64 / engine_dedup.max(1) as f64,
         speedup_exact_vs_reference: reference as f64 / engine_exact.max(1) as f64,
     }
 }
@@ -379,23 +346,14 @@ fn main() {
     for width in [8, 64] {
         let row = bench_beam(&model, &kg, &sources, width, 4);
         println!(
-            "  w{width}: pre-change {}ns  reference {}ns  engine-exact {}ns ({:.2}x)  engine-dedup {}ns ({:.2}x)",
-            row.pre_change_ns_per_query,
+            "  w{width}: reference {}ns  engine-exact {}ns ({:.2}x)  engine-dedup {}ns",
             row.reference_ns_per_query,
             row.engine_exact_ns_per_query,
-            row.speedup_exact,
+            row.speedup_exact_vs_reference,
             row.engine_dedup_ns_per_query,
-            row.speedup_dedup,
         );
         beam_rows.push(row);
     }
-    // Headline: the serving engine's best mode at width 64 (exact and
-    // dedup are within noise of each other on this workload).
-    let speedup_w64 = beam_rows
-        .iter()
-        .find(|r| r.width == 64)
-        .map(|r| r.speedup_dedup.max(r.speedup_exact))
-        .unwrap_or(0.0);
 
     // Batch throughput over the persistent pool (cache off → raw compute).
     let queries: Vec<Query> = kg
@@ -469,19 +427,15 @@ fn main() {
         cpu_model: stamp.cpu_model,
         rustc: stamp.rustc,
         commit: stamp.commit,
-        pre_change_commit: PRE_CHANGE_COMMIT.into(),
         beam_search: beam_rows,
         answer_batch: BatchBench {
             queries: queries.len(),
             beam: 8,
             steps: 3,
-            pre_change_workers1_qps: PRE_CHANGE_WORKERS1_QPS,
-            pre_change_workers4_qps: PRE_CHANGE_WORKERS4_QPS,
             workers1_qps: w1,
             workers4_qps: w4,
             cached_qps,
         },
-        speedup_w64,
         engine,
     };
     // Field-wise merge: this binary owns the top-level engine keys,
@@ -492,5 +446,5 @@ fn main() {
             mmkgr_bench::merge_bench_section("BENCH_serve.json", &key, value);
         }
     }
-    println!("[saved BENCH_serve.json] speedup_w64 = {speedup_w64:.2}x");
+    println!("[saved BENCH_serve.json]");
 }

@@ -1,7 +1,7 @@
 //! Table VII — what happens when *naive* multi-modal fusion (Attention /
 //! Concatenation) is bolted onto existing multi-hop methods (FB-IMG-TXT).
 //!
-//! RL walkers (MINERVA, FIRE, RLH) get the [`FusedWalker`] treatment
+//! RL walkers (MINERVA, FIRE, RLH) get the [`FusedWalker`](mmkgr_baselines::FusedWalker) treatment
 //! (early fusion into state/action representations); non-RL models
 //! (GAATs, NeuralLP) get [`ModalLateFusion`]. Reported: % change of
 //! accumulated rewards (RL only) and of Hits@1 versus the unfused model.

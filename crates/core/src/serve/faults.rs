@@ -27,7 +27,7 @@
 //!   other's faults) and uninstalls the plan on drop.
 //!
 //! The module also hosts the process-global robustness counters that
-//! have no per-server home ([`shard_retries`], [`worker_respawns`]) —
+//! have no per-server home ([`SHARD_RETRIES`], [`WORKER_RESPAWNS`]) —
 //! they are incremented by the supervision code in `sharded`/`mod` and
 //! surfaced through `GET /metrics`.
 

@@ -29,8 +29,8 @@
 //! | `POST /v1/admin/promote` | [`PromoteRequest`](super::protocol::PromoteRequest) | [`PromoteResponse`](super::protocol::PromoteResponse) |
 //! | `GET /v1/models` | — | [`ModelsResponse`](super::protocol::ModelsResponse) |
 //! | `GET /healthz` | — | [`HealthResponse`](super::protocol::HealthResponse) |
-//! | `GET /readyz` | — | [`ReadyResponse`](super::protocol::ReadyResponse) (503 until ready) |
-//! | `GET /metrics` | — | [`MetricsResponse`](super::protocol::MetricsResponse) |
+//! | `GET /readyz` | — | [`ReadyResponse`] (503 until ready) |
+//! | `GET /metrics` | — | [`MetricsResponse`] |
 //!
 //! Failures return `{"error": {"code": ..., ...}}` with the
 //! [`ApiError`]'s status. Connections are `Connection: close`
@@ -62,7 +62,7 @@ use super::protocol::{
     RouteMetrics, PROTOCOL_VERSION,
 };
 use super::registry::{budget_for_timeouts, ModelRegistry};
-use super::{faults, Answer, WorkerPool};
+use super::{faults, WorkerPool};
 
 /// Server knobs. The defaults suit tests and small deployments; a real
 /// box mostly wants more `conn_threads`.
@@ -79,9 +79,10 @@ pub struct HttpServerConfig {
     /// timeout and the response write timeout). A client that stalls
     /// past it gets a 408 `request_timeout`.
     pub read_timeout: Duration,
-    /// Default execution deadline for answer/explain requests that carry
-    /// no explicit `timeout_ms` (0 = no default deadline). Exceeding it
-    /// is a 504 `deadline_exceeded`.
+    /// Default execution deadline for requests that carry no explicit
+    /// `timeout_ms` (a batch: none of its queries does), filled in before
+    /// the registry runs them (0 = no default deadline). Exceeding it is
+    /// a 504 `deadline_exceeded`.
     pub default_timeout_ms: u64,
     /// Load shedding: accepted connections beyond this many queued and
     /// unclaimed are answered `503 overloaded` + `Retry-After` without
@@ -801,43 +802,50 @@ fn dispatch(req: &HttpRequest, shared: &Shared) -> (Route, ApiResponse) {
 
 fn execute(route: Route, body: &str, shared: &Shared) -> Result<ApiResponse, ApiError> {
     let registry = &shared.registry;
-    let default_ms = shared.cfg.default_timeout_ms;
+    // The server default deadline, given to any request that carries no
+    // `timeout_ms` of its own (0 = no default deadline).
+    let default_timeout = Some(shared.cfg.default_timeout_ms).filter(|&ms| ms > 0);
     Ok(match route {
         Route::Answer => {
-            let req: AnswerRequest = parse_body(body)?;
+            let mut req: AnswerRequest = parse_body(body)?;
+            req.query.timeout_ms = req.query.timeout_ms.or(default_timeout);
             let (name, _) = registry.get(req.model.as_deref())?;
             let _slot = shared.acquire_inflight(name)?;
-            let wire = registry.answer_budgeted(&req, default_ms)?;
+            let wire = registry.answer(&req)?;
             shared.count_degraded(&[&wire]);
             ApiResponse::Answer(wire)
         }
         Route::AnswerBatch => {
-            let req: AnswerBatchRequest = parse_body(body)?;
-            let budget = budget_for_timeouts(req.queries.iter().map(|q| q.timeout_ms), default_ms)?;
-            let (name, reasoner, queries) = registry.resolve_batch(&req)?;
+            let mut req: AnswerBatchRequest = parse_body(body)?;
+            // A batch runs under its tightest explicit timeout; the
+            // default applies only when no query carries one.
+            if req.queries.iter().all(|q| q.timeout_ms.is_none()) {
+                for q in &mut req.queries {
+                    q.timeout_ms = default_timeout;
+                }
+            }
+            let budget = budget_for_timeouts(req.queries.iter().map(|q| q.timeout_ms))?;
+            let (name, _, queries) = registry.resolve_batch(&req)?;
             let _slot = shared.acquire_inflight(name)?;
-            let answers: Vec<Answer> = match shared.pools.get(name) {
-                Some(pool) => pool.answer_batch_within(&queries, budget)?,
-                None => queries
-                    .iter()
-                    .map(|q| reasoner.answer_within(q, budget))
-                    .collect::<Result<_, _>>()?,
-            };
+            // `bind` builds a pool for every registered model.
+            let answers = shared.pools[name].answer_batch_within(&queries, budget)?;
             let rendered = registry.render_batch(name, &answers);
             shared.count_degraded(&rendered.answers.iter().collect::<Vec<_>>());
             ApiResponse::AnswerBatch(rendered)
         }
         Route::Explain => {
-            let req: ExplainRequest = parse_body(body)?;
+            let mut req: ExplainRequest = parse_body(body)?;
+            req.query.timeout_ms = req.query.timeout_ms.or(default_timeout);
             let (name, _) = registry.get(req.model.as_deref())?;
             let _slot = shared.acquire_inflight(name)?;
-            ApiResponse::Explain(registry.explain_budgeted(&req, default_ms)?)
+            ApiResponse::Explain(registry.explain(&req)?)
         }
         Route::Retrieve => {
-            let req: RetrieveRequest = parse_body(body)?;
+            let mut req: RetrieveRequest = parse_body(body)?;
+            req.timeout_ms = req.timeout_ms.or(default_timeout);
             let (name, _) = registry.get(req.model.as_deref())?;
             let _slot = shared.acquire_inflight(name)?;
-            let resp = registry.retrieve_budgeted(&req, default_ms)?;
+            let resp = registry.retrieve(&req)?;
             shared
                 .retrieve_paths_considered
                 .fetch_add(resp.paths_considered, Ordering::Relaxed);
@@ -850,8 +858,9 @@ fn execute(route: Route, body: &str, shared: &Shared) -> Result<ApiResponse, Api
         // store, not a reasoner) but still run under the request budget
         // inside the registry pipeline.
         Route::AdminMutate => {
-            let req: MutateRequest = parse_body(body)?;
-            ApiResponse::Mutate(registry.mutate(&req, default_ms)?)
+            let mut req: MutateRequest = parse_body(body)?;
+            req.timeout_ms = req.timeout_ms.or(default_timeout);
+            ApiResponse::Mutate(registry.mutate(&req)?)
         }
         Route::AdminReplicate => {
             return Err(ApiError::Internal {

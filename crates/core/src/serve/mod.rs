@@ -4,10 +4,10 @@
 //! MMKGR's product shape is a single agent answering arbitrary
 //! `(source, relation, ?)` queries with explainable paths. Before this
 //! module, each consumer re-wired that workflow by hand from three
-//! disjoint surfaces: [`RolloutPolicy`] + free-function [`beam_search`]
-//! for RL reasoners, [`TripleScorer`] for KGE models, and ad-hoc builders
-//! in `mmkgr-eval`. [`KgReasoner`] folds them into one object-safe
-//! protocol:
+//! disjoint surfaces: [`RolloutPolicy`] + free-function
+//! [`beam_search`](crate::infer::beam_search) for RL reasoners,
+//! [`TripleScorer`] for KGE models, and ad-hoc builders in `mmkgr-eval`.
+//! [`KgReasoner`] folds them into one object-safe protocol:
 //!
 //! - [`PolicyReasoner`] serves any [`RolloutPolicy`] (MMKGR and the
 //!   MINERVA/RLH/FIRE walkers) via beam search; answers carry
@@ -226,6 +226,20 @@ impl Budget {
         ApiError::DeadlineExceeded {
             timeout_ms: self.timeout_ms,
         }
+    }
+
+    /// Run one uninterruptible step under this budget: an already-expired
+    /// budget skips it, and a result that arrives after the deadline is
+    /// discarded for [`Self::exceeded`].
+    pub(crate) fn run<T>(&self, step: impl FnOnce() -> T) -> Result<T, ApiError> {
+        if self.expired() {
+            return Err(self.exceeded());
+        }
+        let out = step();
+        if self.expired() {
+            return Err(self.exceeded());
+        }
+        Ok(out)
     }
 
     /// Clamp a wait to the remaining budget (unlimited budgets return
@@ -488,14 +502,7 @@ pub trait KgReasoner {
     /// budget ran out (even if an answer was computed late — a deadline
     /// is a promise to the caller, not a best effort).
     fn answer_within(&self, query: &Query, budget: Budget) -> Result<Answer, ApiError> {
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
-        let answer = self.answer(query);
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
-        Ok(answer)
+        budget.run(|| self.answer(query))
     }
 
     /// Enumerate the raw reasoning paths behind a query — every beam
@@ -526,44 +533,6 @@ pub trait KgReasoner {
     fn invalidate_entities(&self, touched: &[EntityId]) -> usize {
         let _ = touched;
         0
-    }
-}
-
-impl<R: KgReasoner + ?Sized> KgReasoner for Arc<R> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn num_entities(&self) -> usize {
-        (**self).num_entities()
-    }
-
-    fn relations(&self) -> RelationSpace {
-        (**self).relations()
-    }
-
-    fn answer(&self, query: &Query) -> Answer {
-        (**self).answer(query)
-    }
-
-    fn answer_within(&self, query: &Query, budget: Budget) -> Result<Answer, ApiError> {
-        (**self).answer_within(query, budget)
-    }
-
-    fn explain(&self, query: &Query) -> Option<Vec<BeamPath>> {
-        (**self).explain(query)
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        (**self).cache_stats()
-    }
-
-    fn has_path_evidence(&self) -> bool {
-        (**self).has_path_evidence()
-    }
-
-    fn invalidate_entities(&self, touched: &[EntityId]) -> usize {
-        (**self).invalidate_entities(touched)
     }
 }
 
@@ -872,9 +841,14 @@ impl<P: RolloutPolicy> PolicyReasoner<P> {
         self.graph.pin()
     }
 
-    /// Frontier-cache counters (`None` when caching is disabled).
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+    /// The beam a query runs: its own width and step overrides, else
+    /// this reasoner's [`ServeConfig`].
+    fn beam_config(&self, query: &Query) -> BeamConfig {
+        BeamConfig {
+            width: query.beam.unwrap_or(self.cfg.beam_width),
+            steps: query.steps.unwrap_or(self.cfg.max_steps),
+            dedup: self.cfg.beam_dedup,
+        }
     }
 
     /// Run the beam and aggregate the best path per distinct end entity
@@ -943,18 +917,12 @@ impl<P: RolloutPolicy> KgReasoner for PolicyReasoner<P> {
     }
 
     fn answer(&self, query: &Query) -> Answer {
-        let width = query.beam.unwrap_or(self.cfg.beam_width);
-        let steps = query.steps.unwrap_or(self.cfg.max_steps);
-        let beam_cfg = BeamConfig {
-            width,
-            steps,
-            dedup: self.cfg.beam_dedup,
-        };
+        let beam_cfg = self.beam_config(query);
         let key = CacheKey {
             source: query.source,
             relation: query.relation,
-            width,
-            steps,
+            width: beam_cfg.width,
+            steps: beam_cfg.steps,
         };
         // Clone only the top_k prefix out of the shared cache entry
         // (it is already in rank order; 0 means everything).
@@ -1002,13 +970,7 @@ impl<P: RolloutPolicy> KgReasoner for PolicyReasoner<P> {
     /// derivations of the same entity each keep their own path — this is
     /// what `/v1/explain` and `mmkgr explain` show.
     fn explain(&self, query: &Query) -> Option<Vec<BeamPath>> {
-        let width = query.beam.unwrap_or(self.cfg.beam_width);
-        let steps = query.steps.unwrap_or(self.cfg.max_steps);
-        let beam_cfg = BeamConfig {
-            width,
-            steps,
-            dedup: self.cfg.beam_dedup,
-        };
+        let beam_cfg = self.beam_config(query);
         let graph = self.graph.pin();
         let mut paths = with_thread_engine(|engine| {
             engine.search(
@@ -1026,7 +988,7 @@ impl<P: RolloutPolicy> KgReasoner for PolicyReasoner<P> {
     }
 
     fn cache_stats(&self) -> Option<CacheStats> {
-        PolicyReasoner::cache_stats(self)
+        self.cache.as_ref().map(|c| c.stats())
     }
 
     fn has_path_evidence(&self) -> bool {

@@ -31,13 +31,12 @@ use super::{Answer, Budget, KgReasoner, Query};
 use mmkgr_kg::{Triple, TripleOp, WalRecord};
 
 /// Derive the execution [`Budget`] for a request from its wire timeouts:
-/// the tightest explicit `timeout_ms` wins (a batch runs under its most
-/// impatient query), otherwise the server default applies (`0` = no
-/// deadline). An explicit `timeout_ms: 0` is rejected — omit the field
-/// (or send `null`) to ask for the server default.
+/// the tightest `timeout_ms` wins (a batch runs under its most impatient
+/// query), and none at all means no deadline. An explicit
+/// `timeout_ms: 0` is rejected — omit the field (or send `null`) to ask
+/// for the server default, which the HTTP front end fills in.
 pub fn budget_for_timeouts(
     timeouts: impl IntoIterator<Item = Option<u64>>,
-    default_timeout_ms: u64,
 ) -> Result<Budget, ApiError> {
     let mut tightest: Option<u64> = None;
     for t in timeouts {
@@ -52,12 +51,7 @@ pub fn budget_for_timeouts(
             None => {}
         }
     }
-    Ok(
-        match tightest.or((default_timeout_ms > 0).then_some(default_timeout_ms)) {
-            Some(ms) => Budget::from_timeout_ms(ms),
-            None => Budget::none(),
-        },
-    )
+    Ok(tightest.map_or_else(Budget::none, Budget::from_timeout_ms))
 }
 
 /// A shared, immutable-after-construction table of named reasoners plus
@@ -298,22 +292,10 @@ impl ModelRegistry {
 
     // -------------------------------------------------- request pipelines
 
-    /// Full `POST /v1/answer` pipeline. A `timeout_ms` on the query is
-    /// honored (no server default here — in-process callers opt in per
-    /// query); the HTTP front end routes through
-    /// [`Self::answer_budgeted`] to add its configured default.
+    /// Full `POST /v1/answer` pipeline, under the query's own
+    /// `timeout_ms` (none = no deadline).
     pub fn answer(&self, req: &AnswerRequest) -> Result<WireAnswer, ApiError> {
-        self.answer_budgeted(req, 0)
-    }
-
-    /// [`Self::answer`] with a server-side default timeout (0 = none)
-    /// applied when the query carries no explicit `timeout_ms`.
-    pub fn answer_budgeted(
-        &self,
-        req: &AnswerRequest,
-        default_timeout_ms: u64,
-    ) -> Result<WireAnswer, ApiError> {
-        let budget = budget_for_timeouts([req.query.timeout_ms], default_timeout_ms)?;
+        let budget = budget_for_timeouts([req.query.timeout_ms])?;
         let (name, reasoner) = self.get(req.model.as_deref())?;
         let query = self.names.resolve_query(&req.query)?;
         let answer = reasoner.answer_within(&query, budget)?;
@@ -343,8 +325,8 @@ impl ModelRegistry {
         Ok((name, reasoner, queries))
     }
 
-    /// Wire envelope for a batch answered elsewhere (worker pool or
-    /// sequential loop).
+    /// Wire envelope for a batch answered elsewhere (the HTTP server's
+    /// worker pool).
     pub fn render_batch(&self, model: &str, answers: &[Answer]) -> AnswerBatchResponse {
         AnswerBatchResponse {
             protocol: PROTOCOL_VERSION.to_string(),
@@ -356,53 +338,22 @@ impl ModelRegistry {
         }
     }
 
-    /// Full `POST /v1/answer_batch` pipeline, answered sequentially on
-    /// the calling thread (the HTTP server substitutes its worker pool).
-    /// The batch budget is the tightest explicit `timeout_ms` across its
-    /// queries (none = unlimited).
-    pub fn answer_batch(&self, req: &AnswerBatchRequest) -> Result<AnswerBatchResponse, ApiError> {
-        let budget = budget_for_timeouts(req.queries.iter().map(|q| q.timeout_ms), 0)?;
-        let (name, reasoner, queries) = self.resolve_batch(req)?;
-        let answers = queries
-            .iter()
-            .map(|q| reasoner.answer_within(q, budget))
-            .collect::<Result<Vec<Answer>, _>>()?;
-        Ok(self.render_batch(name, &answers))
-    }
-
-    /// Full `POST /v1/explain` pipeline. Models without path evidence
+    /// Full `POST /v1/explain` pipeline, under the query's own
+    /// `timeout_ms`. Path enumeration is one uninterruptible beam pass,
+    /// so the budget is checked around it. Models without path evidence
     /// answer with an empty path list (the typed protocol's way of
     /// saying "nothing to show" — not an error, so clients can probe).
     pub fn explain(&self, req: &ExplainRequest) -> Result<ExplainResponse, ApiError> {
+        let budget = budget_for_timeouts([req.query.timeout_ms])?;
         let (name, reasoner) = self.get(req.model.as_deref())?;
         let query = self.names.resolve_query(&req.query)?;
-        let paths = reasoner.explain(&query).unwrap_or_default();
+        let paths = budget.run(|| reasoner.explain(&query))?.unwrap_or_default();
         Ok(ExplainResponse::from_paths(
             name,
             &query,
             &paths,
             &self.names,
         ))
-    }
-
-    /// [`Self::explain`] under a deadline. Path enumeration is one
-    /// uninterruptible beam pass, so the budget is enforced around it:
-    /// an already-expired budget skips the work, a late result is
-    /// discarded in favor of the typed deadline error.
-    pub fn explain_budgeted(
-        &self,
-        req: &ExplainRequest,
-        default_timeout_ms: u64,
-    ) -> Result<ExplainResponse, ApiError> {
-        let budget = budget_for_timeouts([req.query.timeout_ms], default_timeout_ms)?;
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
-        let resp = self.explain(req)?;
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
-        Ok(resp)
     }
 
     /// Validate + resolve a retrieve request into a dense-id
@@ -443,33 +394,18 @@ impl ModelRegistry {
         })
     }
 
-    /// Full `POST /v1/retrieve` pipeline (no server default timeout —
-    /// the HTTP front end routes through [`Self::retrieve_budgeted`]).
+    /// Full `POST /v1/retrieve` pipeline, under the request's own
+    /// `timeout_ms`. Like explain, a retrieval is one uninterruptible
+    /// pass (subgraph expansion + beam queries + rerank), so the budget
+    /// is checked around it.
     pub fn retrieve(&self, req: &RetrieveRequest) -> Result<RetrieveResponse, ApiError> {
-        self.retrieve_budgeted(req, 0)
-    }
-
-    /// [`Self::retrieve`] under a deadline. Like explain, a retrieval is
-    /// one uninterruptible pass (subgraph expansion + beam queries +
-    /// rerank), so the budget is enforced around it.
-    pub fn retrieve_budgeted(
-        &self,
-        req: &RetrieveRequest,
-        default_timeout_ms: u64,
-    ) -> Result<RetrieveResponse, ApiError> {
-        let budget = budget_for_timeouts([req.timeout_ms], default_timeout_ms)?;
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
+        let budget = budget_for_timeouts([req.timeout_ms])?;
         let (name, reasoner) = self.get(req.model.as_deref())?;
         let retriever = self.retriever.as_ref().ok_or_else(|| ApiError::Internal {
             detail: "retrieval is not configured for this registry".to_string(),
         })?;
         let spec = self.resolve_retrieve(req)?;
-        let result = retriever.retrieve(Some(&**reasoner), &spec);
-        if budget.expired() {
-            return Err(budget.exceeded());
-        }
+        let result = budget.run(|| retriever.retrieve(Some(&**reasoner), &spec))?;
         Ok(RetrieveResponse::from_retrieval(
             name,
             &req.seeds,
@@ -504,13 +440,11 @@ impl ModelRegistry {
     /// batch, commit it through the [`LiveGraphStore`] (WAL fsync, then
     /// publish), then drop the touched entries from every model's query
     /// cache. Any validation failure rejects the whole batch before
-    /// anything is logged or applied.
-    pub fn mutate(
-        &self,
-        req: &MutateRequest,
-        default_timeout_ms: u64,
-    ) -> Result<MutateResponse, ApiError> {
-        let budget = budget_for_timeouts([req.timeout_ms], default_timeout_ms)?;
+    /// anything is logged or applied. The request's `timeout_ms` is
+    /// checked before the commit only: a committed write never reports
+    /// a deadline error.
+    pub fn mutate(&self, req: &MutateRequest) -> Result<MutateResponse, ApiError> {
+        let budget = budget_for_timeouts([req.timeout_ms])?;
         if budget.expired() {
             return Err(budget.exceeded());
         }
@@ -612,7 +546,7 @@ impl ModelRegistry {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{PolicyReasoner, Query, ScorerReasoner, ServeConfig};
+    use super::super::{PolicyReasoner, Query, ScorerReasoner, ServeConfig, WorkerPool};
     use super::*;
     use crate::config::MmkgrConfig;
     use crate::model::MmkgrModel;
@@ -739,18 +673,21 @@ mod tests {
                     .with_steps(2)
             })
             .collect();
-        let batch = reg
-            .answer_batch(&AnswerBatchRequest {
+        // The HTTP batch route: resolve, fan out on a pool, render.
+        let (name, reasoner, resolved) = reg
+            .resolve_batch(&AnswerBatchRequest {
                 model: None,
                 queries: queries.clone(),
             })
             .unwrap();
+        let answers = WorkerPool::new(Arc::clone(reasoner), 2).answer_batch(&resolved);
+        let batch = reg.render_batch(name, &answers);
         assert_eq!(batch.answers.len(), queries.len());
         for (q, a) in queries.iter().zip(&batch.answers) {
             let one = reg.answer_named(q.clone()).unwrap();
             assert_eq!(*a, one);
         }
-        let empty = reg.answer_batch(&AnswerBatchRequest {
+        let empty = reg.resolve_batch(&AnswerBatchRequest {
             model: None,
             queries: vec![],
         });
@@ -780,10 +717,19 @@ mod tests {
         let resp = reg
             .explain(&ExplainRequest {
                 model: Some("ByIndex".to_string()),
-                query: q,
+                query: q.clone(),
             })
             .unwrap();
         assert!(resp.paths.is_empty());
+        // The query's own timeout is validated on the in-process route.
+        let zero_timeout = reg.explain(&ExplainRequest {
+            model: None,
+            query: q.with_timeout_ms(0),
+        });
+        assert!(matches!(
+            zero_timeout,
+            Err(ApiError::InvalidBeamParams { .. })
+        ));
     }
 
     #[test]

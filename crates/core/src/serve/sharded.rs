@@ -12,7 +12,7 @@
 //!   evaluates it, and the global top-k is always a subset of the union
 //!   of per-shard top-ks, so the merged ranking is bit-identical to an
 //!   unsharded [`super::ScorerReasoner`] pass (both use
-//!   [`super::sort_candidates`]'s descending-score / ascending-id order).
+//!   `sort_candidates`'s descending-score / ascending-id order).
 //! - **Routed** (path reasoners): beam search walks the whole graph from
 //!   one source, so it cannot be range-split. Instead each query routes
 //!   to the shard owning its *source* entity; shards hold full replicas
@@ -31,7 +31,7 @@
 //! failed shard is retried **once** after a jittered backoff. A shard
 //! that still fails is dropped from the merge — the answer is the exact
 //! merged top-k of the survivors, annotated with
-//! [`Degraded`](super::Degraded) so clients can tell a partial ranking
+//! [`Degraded`] so clients can tell a partial ranking
 //! from a full one. An exhausted budget wins over degradation: the
 //! caller gets [`ApiError::DeadlineExceeded`], never a late answer.
 
@@ -400,47 +400,6 @@ impl ShardedReasoner {
             }),
         })
     }
-
-    /// Batch convenience with per-shard fan-out (routed mode groups
-    /// queries by owning shard; scored mode answers sequentially, each
-    /// answer already fanning across shards internally). Answers come
-    /// back in query order, identical to [`KgReasoner::answer`] per
-    /// query.
-    pub fn answer_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        match &self.mode {
-            Mode::Scored(_) => queries.iter().map(|q| self.answer(q)).collect(),
-            Mode::Routed(shards) => {
-                let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
-                for (i, q) in queries.iter().enumerate() {
-                    by_shard[self.shard_of(q.source)].push(i);
-                }
-                let mut slots: Vec<Option<Answer>> = vec![None; queries.len()];
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = by_shard
-                        .iter()
-                        .zip(shards)
-                        .filter(|(idx, _)| !idx.is_empty())
-                        .map(|(idx, shard)| {
-                            scope.spawn(move || {
-                                idx.iter()
-                                    .map(|&i| (i, shard.answer(&queries[i])))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        for (i, a) in h.join().expect("shard answer thread panicked") {
-                            slots[i] = Some(a);
-                        }
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|a| a.expect("every slot filled"))
-                    .collect()
-            }
-        }
-    }
 }
 
 impl KgReasoner for ShardedReasoner {
@@ -523,7 +482,7 @@ impl KgReasoner for ShardedReasoner {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{PolicyReasoner, ScorerReasoner, ServeConfig};
+    use super::super::{PolicyReasoner, ScorerReasoner, ServeConfig, WorkerPool};
     use super::*;
     use crate::config::MmkgrConfig;
     use crate::model::MmkgrModel;
@@ -629,11 +588,12 @@ mod tests {
             assert_eq!(sharded.answer(q), single.answer(q));
             assert_eq!(sharded.explain(q), single.explain(q));
         }
-        // Batch fan-out across shards preserves query order.
-        let batched = sharded.answer_batch(&queries);
+        // A worker pool over the routed reasoner preserves query order.
+        let pool = WorkerPool::new(Arc::new(sharded), 3);
+        let batched = pool.answer_batch(&queries);
         let sequential: Vec<Answer> = queries.iter().map(|q| single.answer(q)).collect();
         assert_eq!(batched, sequential);
-        assert!(sharded.answer_batch(&[]).is_empty());
+        assert!(pool.answer_batch(&[]).is_empty());
     }
 
     #[test]

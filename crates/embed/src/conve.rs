@@ -158,7 +158,7 @@ impl ConvE {
     }
 
     /// Tape-free forward of one `(s, r)` pair — the hot path for reward
-    /// shaping during RL rollouts. Mirrors [`ConvE::features`] exactly
+    /// shaping during RL rollouts. Mirrors `ConvE::features` exactly
     /// (agreement is asserted by a unit test).
     pub fn features_raw(&self, s: EntityId, r: RelationId) -> Vec<f32> {
         let es = self.entities.row(&self.params, s.index());

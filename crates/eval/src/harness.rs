@@ -449,13 +449,17 @@ impl Harness {
         )
     }
 
-    /// Evaluate anything already wrapped in the serving protocol.
-    pub fn eval_reasoner(&self, reasoner: &(impl KgReasoner + ?Sized)) -> LinkPredictionResult {
-        eval_reasoner_entity(reasoner, &self.eval_triples, &self.known)
+    /// Evaluate a shared serving handle (what [`crate::ReasonerBuilder`]
+    /// builds and a [`mmkgr_core::serve::ModelRegistry`] hosts).
+    pub fn eval_reasoner(
+        &self,
+        reasoner: &Arc<dyn KgReasoner + Send + Sync>,
+    ) -> LinkPredictionResult {
+        eval_reasoner_entity(&**reasoner, &self.eval_triples, &self.known)
     }
 
     pub fn eval_policy(&self, policy: &impl RolloutPolicy) -> LinkPredictionResult {
-        self.eval_reasoner(&self.policy_reasoner(policy, 4))
+        self.eval_policy_steps(policy, 4)
     }
 
     /// Policy evaluation with an explicit step horizon (Table VI/Fig. 8).
@@ -464,7 +468,11 @@ impl Harness {
         policy: &impl RolloutPolicy,
         steps: usize,
     ) -> LinkPredictionResult {
-        self.eval_reasoner(&self.policy_reasoner(policy, steps))
+        eval_reasoner_entity(
+            &self.policy_reasoner(policy, steps),
+            &self.eval_triples,
+            &self.known,
+        )
     }
 
     /// Policy evaluation on an explicit triple subset (Table VIII).

@@ -97,7 +97,7 @@ fn gold_rank(
 /// queries per test triple, filtered ranking, hop histogram from path
 /// evidence. Works identically for both reasoner families.
 pub fn eval_reasoner_entity(
-    reasoner: &(impl KgReasoner + ?Sized),
+    reasoner: &dyn KgReasoner,
     test: &[Triple],
     known: &TripleSet,
 ) -> LinkPredictionResult {

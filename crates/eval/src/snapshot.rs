@@ -15,7 +15,7 @@
 //! - a JSON [`RegistryManifest`] tying sections to models.
 //!
 //! KGE decoding re-runs the model's deterministic constructor (same
-//! `(entities, relations, dim, seed)` as training — the [`KgeSpec`]
+//! `(entities, relations, dim, seed)` as training — the [`KgeSpec`](crate::KgeSpec)
 //! recorded at write time), which rebuilds a parameter arena of
 //! identical shape, then overwrites every tensor from the snapshot's
 //! flat section. Answers served from a loaded snapshot are therefore

@@ -9,7 +9,7 @@
 //!
 //! The base [`CsrStore`] stays immutable forever. [`KnowledgeGraph::apply_ops`]
 //! returns a *new* graph value sharing the base store (`Arc`) plus a small
-//! [`GraphDelta`]: fully rebuilt `(relation, target)`-sorted edge buckets for
+//! `GraphDelta`: fully rebuilt `(relation, target)`-sorted edge buckets for
 //! the touched entities only, and added/deleted base-triple sets. Every
 //! accessor consults the delta bucket first, so a mutated graph presents
 //! exactly the same `&[Edge]` slice API — beam engines, subgraph extraction,
@@ -114,7 +114,7 @@ impl GraphDelta {
 ///
 /// Backed by a shared [`CsrStore`] (see [`crate::store`]), whose flat arrays
 /// may be heap-owned or zero-copy views into a memory-mapped snapshot, and an
-/// optional [`GraphDelta`] overlay (see the module docs). Cloning is cheap —
+/// optional `GraphDelta` overlay (see the module docs). Cloning is cheap —
 /// two `Arc` bumps — which is what makes epoch publication race-free.
 #[derive(Clone, Debug)]
 pub struct KnowledgeGraph {

@@ -6,7 +6,7 @@
 //! This is the adoption path for real data: drop WN18/FB15k-style
 //! `train.txt`/`valid.txt`/`test.txt` files in a directory, call
 //! [`load_split_dir`], and attach modality banks separately (or use
-//! [`ModalBank::empty`] for structure-only work).
+//! [`ModalBank::empty`](crate::ModalBank::empty) for structure-only work).
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Write};

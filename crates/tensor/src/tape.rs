@@ -1,7 +1,7 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
 //! The design is the classic dynamic-graph "micrograd" shape: every forward
-//! operation eagerly computes its value and records an [`Op`] node on the
+//! operation eagerly computes its value and records an `Op` node on the
 //! [`Tape`]; [`Tape::backward`] then walks the node list in reverse,
 //! accumulating gradients. A fresh tape is built per training step, which is
 //! what RL rollouts with data-dependent action spaces need.

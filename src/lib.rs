@@ -22,15 +22,17 @@
 //! | [`embed`] | `mmkgr-embed` | single-hop KGE models |
 //! | [`core`] | `mmkgr-core` | **the MMKGR model** |
 //! | [`baselines`] | `mmkgr-baselines` | multi-hop comparators |
-//! | [`eval`] | `mmkgr-eval` | metrics + experiment harness + [`ReasonerBuilder`] |
+//! | [`eval`] | `mmkgr-eval` | metrics + experiment harness + [`ReasonerBuilder`](eval::ReasonerBuilder) |
 //!
 //! # Quickstart
 //!
 //! Every model — MMKGR and its ablations, the MINERVA/RLH/FIRE walkers,
 //! and the Table-I KGE family — serves the same protocol: a typed
-//! [`Query`] in, an [`Answer`] of ranked candidates (with reasoning-path
-//! [`Evidence`] for multi-hop models) out. [`ReasonerBuilder`] goes from
-//! dataset to a shareable `Arc<dyn KgReasoner + Send + Sync>` in one call:
+//! [`Query`](core::serve::Query) in, an [`Answer`](core::serve::Answer) of
+//! ranked candidates (with reasoning-path [`Evidence`](core::serve::Evidence)
+//! for multi-hop models) out. [`ReasonerBuilder`](eval::ReasonerBuilder)
+//! goes from dataset to a shareable `Arc<dyn KgReasoner + Send + Sync>` in
+//! one call:
 //!
 //! ```no_run
 //! use mmkgr::prelude::*;
@@ -60,7 +62,7 @@
 //!
 //! The same `Arc<dyn KgReasoner + Send + Sync>` surface wraps a KGE
 //! scorer (`ModelChoice::ConvE`), a hand-trained model
-//! ([`mmkgr_core::serve::PolicyReasoner`]), or any [`TripleScorer`]
+//! ([`mmkgr_core::serve::PolicyReasoner`]), or any [`TripleScorer`](embed::TripleScorer)
 //! ([`mmkgr_core::serve::ScorerReasoner`]).
 //!
 //! # Remote serving

@@ -7,7 +7,8 @@
 //!   shards, annotated on the wire), transient ones are retried away;
 //! - injected latency cannot outlast a caller's `timeout_ms`: the
 //!   request answers `deadline_exceeded` (504) near the deadline and the
-//!   server keeps serving;
+//!   server keeps serving; the server's default deadline binds only
+//!   requests that carry no `timeout_ms`;
 //! - admission control sheds excess load with `overloaded` (503) and a
 //!   `Retry-After` header instead of queueing without bound;
 //! - a poisoned worker-pool thread is respawned and the batch completes;
@@ -228,6 +229,52 @@ fn injected_latency_turns_into_a_504_and_the_server_survives() {
     assert!(m.robustness.deadline_exceeded >= 1);
     let (status, _) = request(addr, "GET", "/healthz", "").unwrap();
     assert_eq!(status, 200);
+    server.shutdown();
+}
+
+#[test]
+fn the_server_default_deadline_binds_only_requests_that_set_none() {
+    let _guard = faults::install(
+        FaultPlan::new().with_shard_latency(ShardSel::All, Duration::from_millis(300)),
+    );
+    let server = boot(HttpServerConfig {
+        default_timeout_ms: 100,
+        ..HttpServerConfig::default()
+    });
+    let addr = server.addr();
+
+    // No `timeout_ms`: the server default runs out under the latency,
+    // and the 504 names the default.
+    let (status, body) = request(addr, "POST", "/v1/answer", &answer_body(None)).unwrap();
+    assert_eq!(status, 504, "{body}");
+    assert!(body.contains("\"timeout_ms\":100"), "{body}");
+
+    // An explicit timeout wins, even above the default.
+    let (status, body) = request(addr, "POST", "/v1/answer", &answer_body(Some(5_000))).unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    // A batch with one explicit timeout runs under it, not the default.
+    let batch = |explicit: Option<u64>| {
+        let mut queries: Vec<NamedQuery> = (0..3)
+            .map(|i| NamedQuery::new(format!("e{i}"), "r0").with_top_k(3))
+            .collect();
+        if let Some(ms) = explicit {
+            queries[1] = queries[1].clone().with_timeout_ms(ms);
+        }
+        serde_json::to_string(&AnswerBatchRequest {
+            model: None,
+            queries,
+        })
+        .unwrap()
+    };
+    let (status, body) = request(addr, "POST", "/v1/answer_batch", &batch(Some(5_000))).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let answered: AnswerBatchResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(answered.answers.len(), 3);
+    // With no explicit timeout in it, the batch gets the default.
+    let (status, body) = request(addr, "POST", "/v1/answer_batch", &batch(None)).unwrap();
+    assert_eq!(status, 504, "{body}");
+    assert!(body.contains("\"timeout_ms\":100"), "{body}");
     server.shutdown();
 }
 

@@ -17,8 +17,8 @@ use std::sync::Arc;
 use mmkgr::core::serve::http::request;
 use mmkgr::core::serve::protocol::{AnswerBatchResponse, ExplainResponse, MetricsResponse};
 use mmkgr::core::serve::{
-    AnswerBatchRequest, AnswerRequest, ExplainRequest, HttpServer, HttpServerConfig, KgReasoner,
-    NamedQuery, Query, ServeConfig, WireAnswer,
+    AnswerBatchRequest, AnswerRequest, ExplainRequest, HttpServer, HttpServerConfig, NamedQuery,
+    Query, ServeConfig, WireAnswer,
 };
 use mmkgr::prelude::*;
 
