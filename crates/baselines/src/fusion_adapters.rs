@@ -404,13 +404,9 @@ impl RolloutPolicy for FusedWalker {
 
     fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32> {
         let mut x = Vec::with_capacity(2 * self.cfg.struct_dim);
-        self.lstm_input_into(last_rel, current, &mut x);
+        x.extend_from_slice(self.rel.row(&self.params, last_rel.index()));
+        x.extend_from_slice(self.ent.row(&self.params, current.index()));
         x
-    }
-
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        out.extend_from_slice(self.rel.row(&self.params, last_rel.index()));
-        out.extend_from_slice(self.ent.row(&self.params, current.index()));
     }
 
     fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {

@@ -122,7 +122,7 @@ fn bench_beam_search(c: &mut Criterion) {
                     &kg.graph,
                     EntityId(0),
                     RelationId(0),
-                    &BeamConfig::exact(width, 4),
+                    &BeamConfig::new(width, 4),
                 ))
             })
         });
@@ -133,19 +133,7 @@ fn bench_beam_search(c: &mut Criterion) {
                     &kg.graph,
                     EntityId(0),
                     RelationId(0),
-                    &BeamConfig::exact(width, 4),
-                );
-                std::hint::black_box(engine.frontier_len())
-            })
-        });
-        group.bench_function(&format!("engine_dedup_w{width}_t4"), |b| {
-            b.iter(|| {
-                engine.run(
-                    &model,
-                    &kg.graph,
-                    EntityId(0),
-                    RelationId(0),
-                    &BeamConfig::dedup(width, 4),
+                    &BeamConfig::new(width, 4),
                 );
                 std::hint::black_box(engine.frontier_len())
             })

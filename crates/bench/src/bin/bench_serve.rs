@@ -1,16 +1,13 @@
 //! Serving-performance trajectory: `BENCH_serve.json`.
 //!
 //! Measures the beam-search hot path and batch serving throughput on the
-//! `tiny` dataset, comparing three implementations of the same search:
+//! `tiny` dataset, comparing two implementations of the same search:
 //!
 //! - **reference** — `beam_search_reference`, the retained pre-engine
 //!   *algorithm* (clone-per-candidate, full sort, per-slot policy
-//!   forwards), compiled against this PR's kernels.
-//! - **engine (exact)** — `BeamEngine` in exact mode: bit-identical
-//!   output, zero steady-state allocation, grouped/memoized policy
-//!   forwards.
-//! - **engine (dedup)** — `BeamEngine` with frontier deduplication, the
-//!   serving fast path (`ServeConfig::beam_dedup`).
+//!   forwards), compiled against the current kernels.
+//! - **engine** — `BeamEngine`: bit-identical output, zero steady-state
+//!   allocation, grouped/memoized policy forwards.
 //!
 //! Every ratio it writes compares two numbers taken in the same run
 //! (`speedup_exact_vs_reference`), never a live number against one
@@ -55,7 +52,6 @@ struct BeamBench {
     /// Live: retained pre-engine algorithm on current kernels.
     reference_ns_per_query: u64,
     engine_exact_ns_per_query: u64,
-    engine_dedup_ns_per_query: u64,
     /// reference / engine_exact: the engine-structure win alone.
     speedup_exact_vs_reference: f64,
 }
@@ -99,24 +95,36 @@ struct ServeBench {
     engine: EngineBench,
 }
 
-/// Time `f` per iteration in nanoseconds: best (minimum) mean of five
-/// fixed-budget trials after warmup. The minimum is the standard
-/// low-noise estimator for microbenches on a shared box — scheduler
-/// interference only ever inflates a trial.
-fn time_ns(mut f: impl FnMut()) -> u64 {
-    for _ in 0..3 {
+/// Fixed budget of one timing trial, and trials per side.
+const TRIAL: std::time::Duration = std::time::Duration::from_millis(400);
+const TRIALS: usize = 5;
+
+/// Mean nanoseconds per call of `f` over one [`TRIAL`].
+fn trial_ns(f: &mut impl FnMut()) -> u64 {
+    let mut iters = 0u64;
+    let start = Instant::now();
+    while start.elapsed() < TRIAL {
         f();
+        iters += 1;
     }
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let mut iters = 0u64;
-        let start = Instant::now();
-        let budget = std::time::Duration::from_millis(400);
-        while start.elapsed() < budget {
-            f();
-            iters += 1;
-        }
-        best = best.min((start.elapsed().as_nanos() / u128::from(iters.max(1))) as u64);
+    (start.elapsed().as_nanos() / u128::from(iters.max(1))) as u64
+}
+
+/// Time `a` and `b` per call in nanoseconds: after warmup, their trials
+/// alternate (a, b, a, b, …) and each side keeps its best (minimum)
+/// mean. The minimum is the standard low-noise estimator for
+/// microbenches on a shared box — scheduler interference only ever
+/// inflates a trial — and alternating spreads a spell of host
+/// contention over both sides instead of one side's block of trials.
+fn time_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
+    for _ in 0..3 {
+        a();
+        b();
+    }
+    let mut best = (u64::MAX, u64::MAX);
+    for _ in 0..TRIALS {
+        best.0 = best.0.min(trial_ns(&mut a));
+        best.1 = best.1.min(trial_ns(&mut b));
     }
     best
 }
@@ -128,34 +136,29 @@ fn bench_beam(
     width: usize,
     steps: usize,
 ) -> BeamBench {
-    let mut cursor = 0usize;
-    let mut next = || {
-        let s = sources[cursor % sources.len()];
-        cursor += 1;
-        s
+    let cursor = Cell::new(0usize);
+    let next = || {
+        let i = cursor.get();
+        cursor.set(i + 1);
+        sources[i % sources.len()]
     };
-    let exact = BeamConfig::exact(width, steps);
-    let dedup = BeamConfig::dedup(width, steps);
-
-    let reference = time_ns(|| {
-        let paths = beam_search_reference(model, &kg.graph, next(), RelationId(0), &exact);
-        std::hint::black_box(paths.len());
-    });
+    let cfg = BeamConfig::new(width, steps);
     let mut engine = BeamEngine::new();
-    let engine_exact = time_ns(|| {
-        engine.run(model, &kg.graph, next(), RelationId(0), &exact);
-        std::hint::black_box(engine.frontier_len());
-    });
-    let engine_dedup = time_ns(|| {
-        engine.run(model, &kg.graph, next(), RelationId(0), &dedup);
-        std::hint::black_box(engine.frontier_len());
-    });
+    let (reference, engine_exact) = time_pair_ns(
+        || {
+            let paths = beam_search_reference(model, &kg.graph, next(), RelationId(0), &cfg);
+            std::hint::black_box(paths.len());
+        },
+        || {
+            engine.run(model, &kg.graph, next(), RelationId(0), &cfg);
+            std::hint::black_box(engine.frontier_len());
+        },
+    );
     BeamBench {
         width,
         steps,
         reference_ns_per_query: reference,
         engine_exact_ns_per_query: engine_exact,
-        engine_dedup_ns_per_query: engine_dedup,
         speedup_exact_vs_reference: reference as f64 / engine_exact.max(1) as f64,
     }
 }
@@ -191,10 +194,6 @@ impl RolloutPolicy for TimedPolicy<'_> {
 
     fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32> {
         self.model.lstm_input(last_rel, current)
-    }
-
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        self.model.lstm_input_into(last_rel, current, out)
     }
 
     fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
@@ -280,7 +279,7 @@ fn bench_engine() -> EngineBench {
         .collect();
     keys.shuffle(&mut StdRng::seed_from_u64(0));
     keys.truncate(ENGINE_KEYS);
-    let cfg = BeamConfig::exact(ENGINE_WIDTH, ENGINE_STEPS);
+    let cfg = BeamConfig::new(ENGINE_WIDTH, ENGINE_STEPS);
     let mut engine = BeamEngine::new();
 
     // Engine time per query, untimed inside; every pass must produce the
@@ -346,11 +345,10 @@ fn main() {
     for width in [8, 64] {
         let row = bench_beam(&model, &kg, &sources, width, 4);
         println!(
-            "  w{width}: reference {}ns  engine-exact {}ns ({:.2}x)  engine-dedup {}ns",
+            "  w{width}: reference {}ns  engine {}ns ({:.2}x)",
             row.reference_ns_per_query,
             row.engine_exact_ns_per_query,
             row.speedup_exact_vs_reference,
-            row.engine_dedup_ns_per_query,
         );
         beam_rows.push(row);
     }

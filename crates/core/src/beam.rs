@@ -20,27 +20,13 @@
 //!   after the first allocates nothing (the output paths, if requested,
 //!   are the only allocation).
 //!
-//! Two modes:
-//!
-//! - **Exact** (`dedup = false`, the default): bit-identical to the
-//!   original `beam_search` — same entities, same log-probs, same
-//!   relation paths, same tie-breaks. All legacy entry points
-//!   (`beam_search`, `rank_query`, `evaluate_ranking`,
-//!   `relation_scores`) run in this mode.
-//! - **Dedup** (`dedup = true`): candidates that would create identical
-//!   `(current, last_rel, hops)` frontier states are merged, keeping the
-//!   max log-prob (first wins on ties), so the recurrent step and the
-//!   policy forward run once per unique state. Duplicate lineages stop
-//!   burning beam slots, which both speeds the search up (the policy
-//!   forward dominates the hot path) and frees slots for genuinely
-//!   distinct states — a mild quality knob, not an approximation of the
-//!   arithmetic. Because freed slots can admit states the exact search
-//!   pruned, outputs may differ from exact mode; serving opts in via
-//!   [`crate::serve::ServeConfig::beam_dedup`].
-//!
-//! Both modes are pinned by property tests against
-//! [`beam_search_reference`], a deliberately naive retained
-//! implementation of the same two contracts.
+//! The search is the exact MINERVA protocol the paper evaluates with
+//! (§V): bit-identical to the original `beam_search` — same entities,
+//! same log-probs, same relation paths, same tie-breaks. Every entry
+//! point (`beam_search`, `rank_query`, `evaluate_ranking`,
+//! `relation_scores` and [`crate::serve::PolicyReasoner`]) runs it, and
+//! property tests pin it against [`beam_search_reference`], a
+//! deliberately naive retained implementation of the same contract.
 
 use std::collections::HashMap;
 
@@ -56,28 +42,11 @@ pub struct BeamConfig {
     pub width: usize,
     /// Step horizon `T`.
     pub steps: usize,
-    /// Merge identical `(current, last_rel, hops)` candidate states per
-    /// frontier (max log-prob wins). See the module docs for semantics.
-    pub dedup: bool,
 }
 
 impl BeamConfig {
-    /// Exact mode: bit-identical to the legacy `beam_search`.
-    pub fn exact(width: usize, steps: usize) -> Self {
-        BeamConfig {
-            width,
-            steps,
-            dedup: false,
-        }
-    }
-
-    /// Dedup mode: one policy forward per unique frontier state.
-    pub fn dedup(width: usize, steps: usize) -> Self {
-        BeamConfig {
-            width,
-            steps,
-            dedup: true,
-        }
+    pub fn new(width: usize, steps: usize) -> Self {
+        BeamConfig { width, steps }
     }
 }
 
@@ -157,8 +126,6 @@ pub struct BeamEngine {
     /// Memoized recurrent-step input halves
     /// ([`RolloutPolicy::prepare_step`]).
     step_preps: Vec<Box<dyn std::any::Any>>,
-    /// Dedup table: `(entity, last_rel, hops)` → index into `cands`.
-    dedup_map: HashMap<(u32, u32, u32), u32>,
     // ---- path arena ----
     path_nodes: Vec<(u32, RelationId)>,
     rel_scratch: Vec<RelationId>,
@@ -195,7 +162,7 @@ impl BeamEngine {
 
     /// Run beam search from `(source, relation)`. The result stays inside
     /// the engine: read it with [`Self::frontier`] / [`Self::paths_into`].
-    pub fn run<P: RolloutPolicy>(
+    pub fn run<P: RolloutPolicy + ?Sized>(
         &mut self,
         policy: &P,
         graph: &KnowledgeGraph,
@@ -239,9 +206,6 @@ impl BeamEngine {
             self.cands.clear();
             self.h_post.resize(n * ds, 0.0);
             self.c_post.resize(n * ds, 0.0);
-            if cfg.dedup {
-                self.dedup_map.clear();
-            }
 
             // Phase 1: recurrent update per slot (post-step state kept
             // for survivors to gather). The input-dependent half of the
@@ -352,37 +316,13 @@ impl BeamEngine {
                     } else {
                         slot.hops + 1
                     };
-                    let cand = Cand {
+                    self.cands.push(Cand {
                         parent: i as u32,
                         edge: a,
                         hops,
                         logp: slot.logp + lp,
                         seq: self.cands.len() as u32,
-                    };
-                    if cfg.dedup {
-                        let key = (a.target.0, a.relation.0, hops);
-                        match self.dedup_map.entry(key) {
-                            std::collections::hash_map::Entry::Occupied(e) => {
-                                let held = &mut self.cands[*e.get() as usize];
-                                // First wins on ties: strictly better only.
-                                // A replacement keeps the held seq — the
-                                // reference merges in place, so the merged
-                                // candidate competes at its original
-                                // emission position under the stable sort.
-                                if cand.logp > held.logp {
-                                    *held = Cand {
-                                        seq: held.seq,
-                                        ..cand
-                                    };
-                                }
-                                continue;
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(self.cands.len() as u32);
-                            }
-                        }
-                    }
-                    self.cands.push(cand);
+                    });
                 }
             }
 
@@ -465,7 +405,7 @@ impl BeamEngine {
     }
 
     /// Convenience: run + materialize paths.
-    pub fn search<P: RolloutPolicy>(
+    pub fn search<P: RolloutPolicy + ?Sized>(
         &mut self,
         policy: &P,
         graph: &KnowledgeGraph,
@@ -492,12 +432,11 @@ pub fn with_thread_engine<R>(f: impl FnOnce(&mut BeamEngine) -> R) -> R {
     ENGINE.with(|e| f(&mut e.borrow_mut()))
 }
 
-/// The retained reference implementation both engine modes are pinned
-/// against: the original clone-per-candidate beam search (PR 1), extended
-/// with the same candidate-level dedup contract. Deliberately naive —
+/// The retained reference implementation the engine is pinned against:
+/// the original clone-per-candidate beam search. Deliberately naive —
 /// kept for parity tests and the `BENCH_serve.json` before/after
 /// baseline, not for serving.
-pub fn beam_search_reference<P: RolloutPolicy>(
+pub fn beam_search_reference<P: RolloutPolicy + ?Sized>(
     policy: &P,
     graph: &KnowledgeGraph,
     source: EntityId,
@@ -537,7 +476,6 @@ pub fn beam_search_reference<P: RolloutPolicy>(
 
     for _ in 0..cfg.steps {
         let mut candidates: Vec<Beam> = Vec::with_capacity(beams.len() * 8);
-        let mut seen: HashMap<(u32, u32, usize), usize> = HashMap::new();
         for beam in &beams {
             let x = policy.lstm_input(beam.last_rel, beam.current);
             let mut h = beam.h.clone();
@@ -558,7 +496,7 @@ pub fn beam_search_reference<P: RolloutPolicy>(
                     rels.push(a.relation);
                     beam.hops + 1
                 };
-                let next = Beam {
+                candidates.push(Beam {
                     current: a.target,
                     last_rel: a.relation,
                     hops,
@@ -566,23 +504,7 @@ pub fn beam_search_reference<P: RolloutPolicy>(
                     c: c.clone(),
                     logp: beam.logp + lp,
                     rels,
-                };
-                if cfg.dedup {
-                    let key = (a.target.0, a.relation.0, hops);
-                    match seen.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(e) => {
-                            let held = &mut candidates[*e.get()];
-                            if next.logp > held.logp {
-                                *held = next;
-                            }
-                            continue;
-                        }
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            e.insert(candidates.len());
-                        }
-                    }
-                }
-                candidates.push(next);
+                });
             }
         }
         candidates.sort_by(|a, b| b.logp.total_cmp(&a.logp));
@@ -643,44 +565,11 @@ mod tests {
             (5, 2, 64, 4),
             (9, 0, 1, 2),
         ] {
-            let cfg = BeamConfig::exact(w, t);
+            let cfg = BeamConfig::new(w, t);
             let want =
                 beam_search_reference(&model, &kg.graph, EntityId(src), RelationId(rel), &cfg);
             let got = engine.search(&model, &kg.graph, EntityId(src), RelationId(rel), &cfg);
             assert_paths_identical(&got, &want);
-        }
-    }
-
-    #[test]
-    fn dedup_mode_matches_reference_bitwise() {
-        let (kg, model) = tiny();
-        let mut engine = BeamEngine::new();
-        for (src, rel, w, t) in [(0u32, 0u32, 8, 4), (3, 1, 64, 4), (7, 2, 16, 3)] {
-            let cfg = BeamConfig::dedup(w, t);
-            let want =
-                beam_search_reference(&model, &kg.graph, EntityId(src), RelationId(rel), &cfg);
-            let got = engine.search(&model, &kg.graph, EntityId(src), RelationId(rel), &cfg);
-            assert_paths_identical(&got, &want);
-        }
-    }
-
-    #[test]
-    fn dedup_frontier_has_unique_states() {
-        let (kg, model) = tiny();
-        let mut engine = BeamEngine::new();
-        engine.run(
-            &model,
-            &kg.graph,
-            EntityId(0),
-            RelationId(0),
-            &BeamConfig::dedup(64, 4),
-        );
-        let mut seen = std::collections::HashSet::new();
-        for s in &engine.slots {
-            assert!(
-                seen.insert((s.current.0, s.last_rel.0, s.hops)),
-                "dedup frontier must not hold duplicate states"
-            );
         }
     }
 
@@ -688,7 +577,7 @@ mod tests {
     fn engine_reuse_is_stateless_across_queries() {
         // A warm engine must answer exactly like a cold one.
         let (kg, model) = tiny();
-        let cfg = BeamConfig::exact(8, 4);
+        let cfg = BeamConfig::new(8, 4);
         let mut warm = BeamEngine::new();
         for s in 0..6u32 {
             warm.run(&model, &kg.graph, EntityId(s), RelationId(1), &cfg);
@@ -708,7 +597,7 @@ mod tests {
             &kg.graph,
             EntityId(0),
             RelationId(0),
-            &BeamConfig::exact(8, 4),
+            &BeamConfig::new(8, 4),
         );
         let fronts: Vec<FrontierBeam> = engine.frontier().collect();
         assert_eq!(fronts.len(), paths.len());
@@ -737,7 +626,7 @@ mod tests {
             &kg.graph,
             EntityId(0),
             RelationId(0),
-            &BeamConfig::exact(0, 3),
+            &BeamConfig::new(0, 3),
         );
         assert!(paths.is_empty());
         let want = beam_search_reference(
@@ -745,7 +634,7 @@ mod tests {
             &kg.graph,
             EntityId(0),
             RelationId(0),
-            &BeamConfig::exact(0, 3),
+            &BeamConfig::new(0, 3),
         );
         assert!(want.is_empty());
     }
@@ -759,7 +648,7 @@ mod tests {
             &kg.graph,
             EntityId(4),
             RelationId(0),
-            &BeamConfig::exact(8, 0),
+            &BeamConfig::new(8, 0),
         );
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].entity, EntityId(4));

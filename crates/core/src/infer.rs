@@ -4,10 +4,10 @@
 //! reaches them within `T` steps (the MINERVA evaluation protocol the
 //! paper follows). Entities no beam reaches rank pessimistically last.
 //!
-//! Since the [`crate::beam`] engine landed, every entry point here is a
-//! thin wrapper over a thread-local [`BeamEngine`](crate::beam::BeamEngine)
-//! in exact mode: the public contracts (and their outputs, bit for bit)
-//! are unchanged, but repeated calls no longer allocate.
+//! Every entry point here is a thin wrapper over a thread-local
+//! [`BeamEngine`](crate::beam::BeamEngine): the outputs are bit-identical
+//! to the original per-call search, but repeated calls no longer
+//! allocate.
 
 use mmkgr_kg::{Edge, EntityId, KnowledgeGraph, RelationId, TripleSet};
 
@@ -26,14 +26,6 @@ pub trait RolloutPolicy {
     /// Build the recurrent input for a step.
     fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32>;
 
-    /// Build the recurrent input into a caller-owned buffer (appended;
-    /// callers clear first). Implementors should override this to skip
-    /// the per-step allocation of [`Self::lstm_input`] — the beam engine
-    /// only calls this form.
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        out.extend_from_slice(&self.lstm_input(last_rel, current));
-    }
-
     /// Advance the recurrent state in place.
     fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]);
 
@@ -47,33 +39,6 @@ pub trait RolloutPolicy {
         out: &mut Vec<f32>,
     );
 
-    /// Action distributions for `states` agent states standing at the
-    /// same entity (rows of `hs`, `hidden_dim()` apart), sharing one
-    /// action set. `out` is cleared and receives `states ×
-    /// actions.len()` probabilities, row-major. The default delegates to
-    /// [`Self::action_probs`] per state; policies with expensive
-    /// action-dependent features (MMKGR's modal projections) override it
-    /// to share that work across the group — the beam engine always
-    /// calls this form. Overrides must be bitwise-identical to the
-    /// per-state path.
-    fn action_probs_group(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        out.clear();
-        let ds = self.hidden_dim();
-        let mut row: Vec<f32> = Vec::with_capacity(actions.len());
-        for s in 0..states {
-            self.action_probs(source, &hs[s * ds..(s + 1) * ds], rq, actions, &mut row);
-            out.extend_from_slice(&row);
-        }
-    }
-
     /// Precompute whatever of the policy forward depends only on the
     /// action set (for MMKGR: modal gathers/projections and the gate's
     /// `X`-side). The beam engine memoizes the returned box per entity
@@ -86,10 +51,13 @@ pub trait RolloutPolicy {
         Box::new(())
     }
 
-    /// [`Self::action_probs_group`] with a memoized
-    /// [`Self::prepare_actions`] context. Overrides must be
-    /// bitwise-identical to the unprepared path; the default ignores the
-    /// context.
+    /// Action distributions for `states` agent states standing at the
+    /// same entity (rows of `hs`, `hidden_dim()` apart), sharing one
+    /// action set and its memoized [`Self::prepare_actions`] context.
+    /// `out` is cleared and receives `states × actions.len()`
+    /// probabilities, row-major. The beam engine calls only this form.
+    /// Overrides must be bitwise-identical to [`Self::action_probs`] per
+    /// state; the default calls it per state and ignores the context.
     #[allow(clippy::too_many_arguments)]
     fn action_probs_group_prepared(
         &self,
@@ -102,7 +70,13 @@ pub trait RolloutPolicy {
         out: &mut Vec<f32>,
     ) {
         let _ = prepared;
-        self.action_probs_group(source, hs, states, rq, actions, out)
+        out.clear();
+        let ds = self.hidden_dim();
+        let mut row: Vec<f32> = Vec::with_capacity(actions.len());
+        for s in 0..states {
+            self.action_probs(source, &hs[s * ds..(s + 1) * ds], rq, actions, &mut row);
+            out.extend_from_slice(&row);
+        }
     }
 
     /// Precompute the input-dependent half of one recurrent step — for
@@ -127,8 +101,7 @@ pub trait RolloutPolicy {
         c: &mut [f32],
     ) {
         let _ = prepared;
-        let mut x = Vec::with_capacity(2 * self.hidden_dim());
-        self.lstm_input_into(last_rel, current, &mut x);
+        let x = self.lstm_input(last_rel, current);
         self.lstm_step(&x, h, c)
     }
 }
@@ -142,10 +115,6 @@ impl<P: RolloutPolicy + ?Sized> RolloutPolicy for &P {
         (**self).lstm_input(last_rel, current)
     }
 
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        (**self).lstm_input_into(last_rel, current, out)
-    }
-
     fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
         (**self).lstm_step(x, h, c)
     }
@@ -159,91 +128,6 @@ impl<P: RolloutPolicy + ?Sized> RolloutPolicy for &P {
         out: &mut Vec<f32>,
     ) {
         (**self).action_probs(source, h, rq, actions, out)
-    }
-
-    fn action_probs_group(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        (**self).action_probs_group(source, hs, states, rq, actions, out)
-    }
-
-    fn prepare_actions(&self, actions: &[Edge]) -> Box<dyn std::any::Any> {
-        (**self).prepare_actions(actions)
-    }
-
-    fn action_probs_group_prepared(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        prepared: &dyn std::any::Any,
-        out: &mut Vec<f32>,
-    ) {
-        (**self).action_probs_group_prepared(source, hs, states, rq, actions, prepared, out)
-    }
-
-    fn prepare_step(&self, last_rel: RelationId, current: EntityId) -> Box<dyn std::any::Any> {
-        (**self).prepare_step(last_rel, current)
-    }
-
-    fn lstm_step_prepared(
-        &self,
-        last_rel: RelationId,
-        current: EntityId,
-        prepared: &dyn std::any::Any,
-        h: &mut [f32],
-        c: &mut [f32],
-    ) {
-        (**self).lstm_step_prepared(last_rel, current, prepared, h, c)
-    }
-}
-
-impl<P: RolloutPolicy + ?Sized> RolloutPolicy for Box<P> {
-    fn hidden_dim(&self) -> usize {
-        (**self).hidden_dim()
-    }
-
-    fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32> {
-        (**self).lstm_input(last_rel, current)
-    }
-
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        (**self).lstm_input_into(last_rel, current, out)
-    }
-
-    fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
-        (**self).lstm_step(x, h, c)
-    }
-
-    fn action_probs(
-        &self,
-        source: EntityId,
-        h: &[f32],
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        (**self).action_probs(source, h, rq, actions, out)
-    }
-
-    fn action_probs_group(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        (**self).action_probs_group(source, hs, states, rq, actions, out)
     }
 
     fn prepare_actions(&self, actions: &[Edge]) -> Box<dyn std::any::Any> {
@@ -288,10 +172,6 @@ impl RolloutPolicy for MmkgrModel {
         self.raw_lstm_input(last_rel, current)
     }
 
-    fn lstm_input_into(&self, last_rel: RelationId, current: EntityId, out: &mut Vec<f32>) {
-        self.raw_lstm_input_into(last_rel, current, out)
-    }
-
     fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
         self.raw_lstm_step(x, h, c)
     }
@@ -305,18 +185,6 @@ impl RolloutPolicy for MmkgrModel {
         out: &mut Vec<f32>,
     ) {
         self.raw_state_probs(source, h, rq, actions, out)
-    }
-
-    fn action_probs_group(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        self.raw_state_probs_group(source, hs, states, rq, actions, out)
     }
 
     fn prepare_actions(&self, actions: &[Edge]) -> Box<dyn std::any::Any> {
@@ -333,12 +201,10 @@ impl RolloutPolicy for MmkgrModel {
         prepared: &dyn std::any::Any,
         out: &mut Vec<f32>,
     ) {
-        match prepared.downcast_ref::<crate::model::PreparedActions>() {
-            Some(prep) => {
-                self.raw_state_probs_group_prepared(source, hs, states, rq, actions, prep, out)
-            }
-            None => self.raw_state_probs_group(source, hs, states, rq, actions, out),
-        }
+        let prep = prepared
+            .downcast_ref::<crate::model::PreparedActions>()
+            .expect("context from MmkgrModel::prepare_actions");
+        self.raw_state_probs_group_prepared(source, hs, states, rq, actions, prep, out)
     }
 
     fn prepare_step(&self, last_rel: RelationId, current: EntityId) -> Box<dyn std::any::Any> {
@@ -347,19 +213,16 @@ impl RolloutPolicy for MmkgrModel {
 
     fn lstm_step_prepared(
         &self,
-        last_rel: RelationId,
-        current: EntityId,
+        _last_rel: RelationId,
+        _current: EntityId,
         prepared: &dyn std::any::Any,
         h: &mut [f32],
         c: &mut [f32],
     ) {
-        match prepared.downcast_ref::<crate::model::PreparedStep>() {
-            Some(prep) => self.raw_lstm_step_prepared(prep, h, c),
-            None => {
-                let x = self.raw_lstm_input(last_rel, current);
-                self.raw_lstm_step(&x, h, c)
-            }
-        }
+        let prep = prepared
+            .downcast_ref::<crate::model::PreparedStep>()
+            .expect("context from MmkgrModel::prepare_step");
+        self.raw_lstm_step_prepared(prep, h, c)
     }
 }
 
@@ -375,11 +238,11 @@ pub struct BeamPath {
 
 /// Beam search from `(source, relation)` for `steps` steps.
 ///
-/// Wraps the thread-local [`BeamEngine`](crate::beam::BeamEngine) in
-/// exact mode: output is bit-identical to the original per-call
+/// Wraps the thread-local [`BeamEngine`](crate::beam::BeamEngine): output
+/// is bit-identical to the original per-call
 /// implementation (retained as [`crate::beam::beam_search_reference`]),
 /// but after the first call on a thread only the returned paths allocate.
-pub fn beam_search<P: RolloutPolicy>(
+pub fn beam_search<P: RolloutPolicy + ?Sized>(
     model: &P,
     graph: &KnowledgeGraph,
     source: EntityId,
@@ -393,7 +256,7 @@ pub fn beam_search<P: RolloutPolicy>(
             graph,
             source,
             relation,
-            &BeamConfig::exact(width, steps),
+            &BeamConfig::new(width, steps),
         )
     })
 }
@@ -454,7 +317,7 @@ impl RankScratch {
 
 /// Rank the gold answer of `q` against all entities using beam scores.
 /// `known` enables filtered ranking (other true answers are skipped).
-pub fn rank_query<P: RolloutPolicy>(
+pub fn rank_query<P: RolloutPolicy + ?Sized>(
     model: &P,
     graph: &KnowledgeGraph,
     q: &RolloutQuery,
@@ -474,7 +337,7 @@ pub fn rank_query<P: RolloutPolicy>(
                 graph,
                 q.source,
                 q.relation,
-                &BeamConfig::exact(width, steps),
+                &BeamConfig::new(width, steps),
             );
             scratch.begin(graph.num_entities());
             for b in engine.frontier() {
@@ -545,7 +408,7 @@ impl RankingSummary {
 }
 
 /// Evaluate a query set with filtered ranking.
-pub fn evaluate_ranking<P: RolloutPolicy>(
+pub fn evaluate_ranking<P: RolloutPolicy + ?Sized>(
     model: &P,
     graph: &KnowledgeGraph,
     queries: &[RolloutQuery],
@@ -587,7 +450,7 @@ pub fn evaluate_ranking<P: RolloutPolicy>(
 /// Score each candidate relation for a `(e_s, ?, e_d)` query: the best
 /// beam log-probability that reaches `e_d` under that relation (−∞ if
 /// unreached). Used by the Table IV relation-link-prediction MAP.
-pub fn relation_scores<P: RolloutPolicy>(
+pub fn relation_scores<P: RolloutPolicy + ?Sized>(
     model: &P,
     graph: &KnowledgeGraph,
     source: EntityId,
@@ -599,7 +462,7 @@ pub fn relation_scores<P: RolloutPolicy>(
     // One warm engine across all candidate relations — no per-relation
     // cold start, and no path materialization (only the frontier's best
     // log-prob to `destination` is needed).
-    let cfg = BeamConfig::exact(width, steps);
+    let cfg = BeamConfig::new(width, steps);
     with_thread_engine(|engine| {
         candidates
             .iter()

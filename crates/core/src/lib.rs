@@ -41,7 +41,7 @@ pub mod reward;
 pub mod rollout;
 pub mod serve;
 
-pub use beam::{beam_search_reference, BeamConfig, BeamEngine, FrontierBeam};
+pub use beam::{BeamConfig, BeamEngine, FrontierBeam};
 pub use config::{HistoryEncoder, MmkgrConfig, RewardConfig, Variant};
 pub use fusion::GateAttention;
 pub use infer::{

@@ -556,21 +556,6 @@ impl MmkgrModel {
         })
     }
 
-    /// Grouped raw policy forward without a memoized context (prepares
-    /// then delegates).
-    pub fn raw_state_probs_group(
-        &self,
-        source: EntityId,
-        hs: &[f32],
-        states: usize,
-        rq: RelationId,
-        actions: &[Edge],
-        out: &mut Vec<f32>,
-    ) {
-        let prep = self.raw_prepare_actions(actions);
-        self.raw_state_probs_group_prepared(source, hs, states, rq, actions, &prep, out)
-    }
-
     /// One state's probabilities appended to `out` (the shared tail of
     /// the single and grouped raw forwards). Every intermediate lives in
     /// thread-local scratch: after warmup a call allocates nothing.

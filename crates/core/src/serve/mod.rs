@@ -29,11 +29,9 @@
 //! 1. **Engine** ([`crate::beam::BeamEngine`]): every [`PolicyReasoner`]
 //!    query runs on a thread-local engine — flat SoA frontier, path
 //!    arena, `select_nth` pruning, all scratch owned by the engine — so
-//!    a query after the first allocates only its output. The engine's
-//!    exact mode is bit-identical to the original `beam_search`;
-//!    [`ServeConfig::beam_dedup`] opts a reasoner into the deduplicated
-//!    frontier (one policy forward per unique `(entity, last_rel, hops)`
-//!    state), which is markedly faster at wide beams.
+//!    a query after the first allocates only its output. Its frontier
+//!    is bit-identical to the original `beam_search`, so served answers
+//!    match `evaluate_ranking` exactly.
 //! 2. **Cache** ([`ServeConfig::cache_capacity`]): an LRU frontier cache
 //!    keyed by `(source, relation, width, steps)` behind a
 //!    read-concurrent `RwLock`. Repeated queries — the norm for
@@ -398,13 +396,6 @@ pub struct ServeConfig {
     pub beam_width: usize,
     /// Default step horizon (`T` of the paper) for path reasoners.
     pub max_steps: usize,
-    /// Run the beam engine with frontier deduplication (one policy
-    /// forward per unique state — faster at wide beams, slightly
-    /// different frontier than the exact MINERVA protocol; see
-    /// [`crate::beam`]). Off by default so serving matches evaluation
-    /// bit for bit.
-    #[serde(default)]
-    pub beam_dedup: bool,
     /// Capacity (entries) of the per-reasoner LRU frontier cache; 0
     /// disables caching. Each entry holds one untruncated ranking for a
     /// `(source, relation, width, steps)` key.
@@ -417,7 +408,6 @@ impl Default for ServeConfig {
         ServeConfig {
             beam_width: 32,
             max_steps: 4,
-            beam_dedup: false,
             cache_capacity: 0,
         }
     }
@@ -427,12 +417,6 @@ impl ServeConfig {
     /// Enable the LRU frontier cache with `capacity` entries.
     pub fn with_cache(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Enable frontier deduplication in the beam engine.
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.beam_dedup = dedup;
         self
     }
 
@@ -844,11 +828,10 @@ impl<P: RolloutPolicy> PolicyReasoner<P> {
     /// The beam a query runs: its own width and step overrides, else
     /// this reasoner's [`ServeConfig`].
     fn beam_config(&self, query: &Query) -> BeamConfig {
-        BeamConfig {
-            width: query.beam.unwrap_or(self.cfg.beam_width),
-            steps: query.steps.unwrap_or(self.cfg.max_steps),
-            dedup: self.cfg.beam_dedup,
-        }
+        BeamConfig::new(
+            query.beam.unwrap_or(self.cfg.beam_width),
+            query.steps.unwrap_or(self.cfg.max_steps),
+        )
     }
 
     /// Run the beam and aggregate the best path per distinct end entity
@@ -1662,5 +1645,29 @@ mod tests {
         let s = serde_json::to_string(&q).unwrap();
         let back: Query = serde_json::from_str(&s).unwrap();
         assert_eq!(back, q);
+    }
+
+    #[test]
+    fn serve_config_ignores_the_retired_beam_dedup_key() {
+        // Registry manifests written while the engine had a dedup mode
+        // carry `"beam_dedup"`; they must still boot to the same config.
+        let want: ServeConfig =
+            serde_json::from_str(r#"{"beam_width": 16, "max_steps": 3, "cache_capacity": 64}"#)
+                .unwrap();
+        assert_eq!(
+            want,
+            ServeConfig {
+                beam_width: 16,
+                max_steps: 3,
+                cache_capacity: 64,
+            }
+        );
+        for flag in ["true", "false"] {
+            let old = format!(
+                r#"{{"beam_width": 16, "max_steps": 3, "beam_dedup": {flag}, "cache_capacity": 64}}"#
+            );
+            let got: ServeConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(got, want, "beam_dedup: {flag}");
+        }
     }
 }

@@ -147,8 +147,6 @@ pub struct ReasonerBuilder {
     cfg: HarnessConfig,
     choice: ModelChoice,
     serve: Option<ServeConfig>,
-    cache_capacity: Option<usize>,
-    beam_dedup: Option<bool>,
 }
 
 impl ReasonerBuilder {
@@ -157,8 +155,6 @@ impl ReasonerBuilder {
             cfg: HarnessConfig::new(dataset, scale),
             choice: ModelChoice::Mmkgr(Variant::Full),
             serve: None,
-            cache_capacity: None,
-            beam_dedup: None,
         }
     }
 
@@ -174,43 +170,22 @@ impl ReasonerBuilder {
         self
     }
 
-    /// Serving defaults (beam width / step horizon). Defaults to the
-    /// harness beam and the paper's T = 4.
+    /// Serving defaults (beam width, step horizon, frontier-cache
+    /// capacity). Defaults to the harness beam, the paper's T = 4 and no
+    /// cache.
     pub fn serve_config(mut self, serve: ServeConfig) -> Self {
         self.serve = Some(serve);
-        self
-    }
-
-    /// Enable the LRU frontier cache on the served reasoner (path
-    /// reasoners only; scorers ignore it). Overrides any capacity set
-    /// via [`Self::serve_config`].
-    pub fn cache(mut self, capacity: usize) -> Self {
-        self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Run the beam engine with frontier deduplication (see
-    /// `mmkgr_core::beam`). Overrides any flag set via
-    /// [`Self::serve_config`].
-    pub fn dedup(mut self, dedup: bool) -> Self {
-        self.beam_dedup = Some(dedup);
         self
     }
 
     /// Build the dataset + substrates, train the model, and wrap it.
     pub fn build(self) -> BuiltReasoner {
         let harness = Harness::new(self.cfg);
-        let mut serve = self.serve.unwrap_or(ServeConfig {
+        let serve = self.serve.unwrap_or(ServeConfig {
             beam_width: harness.cfg.beam,
             max_steps: 4,
             ..ServeConfig::default()
         });
-        if let Some(capacity) = self.cache_capacity {
-            serve.cache_capacity = capacity;
-        }
-        if let Some(dedup) = self.beam_dedup {
-            serve.beam_dedup = dedup;
-        }
         let reasoner = build_reasoner(&harness, self.choice, serve);
         BuiltReasoner { reasoner, harness }
     }

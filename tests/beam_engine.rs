@@ -1,11 +1,10 @@
 //! Parity and behaviour tests for the zero-allocation beam engine and
 //! the serving layers built on top of it:
 //!
-//! - Property tests pin `BeamEngine` (exact and dedup modes) bitwise to
-//!   `beam_search_reference` — the retained naive implementation —
-//!   across random graphs, random policies, and random search shapes:
-//!   same entities, same log-probs, same relation paths, same dedup
-//!   max-merge, same tie-breaks.
+//! - Property tests pin `BeamEngine` bitwise to `beam_search_reference`
+//!   — the retained naive implementation — across random graphs,
+//!   random policies, and random search shapes: same entities, same
+//!   log-probs, same relation paths, same tie-breaks.
 //! - `evaluate_ranking` (now engine-backed with a dense best-score
 //!   table) is bit-identical to the original HashMap-over-paths
 //!   protocol recomputed from the reference search.
@@ -133,32 +132,12 @@ proptest! {
     ) {
         let g = graph_from(&triples, 14, 4);
         let policy = MixPolicy { ds: 6, salt };
-        let cfg = BeamConfig::exact(width, steps);
+        let cfg = BeamConfig::new(width, steps);
         let want = beam_search_reference(&policy, &g, EntityId(source), RelationId(relation), &cfg);
         // One engine reused across all proptest cases would also work;
         // a fresh one per case keeps failures reproducible in isolation.
         let got = BeamEngine::new().search(&policy, &g, EntityId(source), RelationId(relation), &cfg);
         assert_paths_bitwise(&got, &want);
-    }
-
-    #[test]
-    fn engine_dedup_matches_reference_on_random_graphs(
-        triples in arb_triples(12, 3),
-        source in 0u32..12,
-        relation in 0u32..3,
-        width in 1usize..10,
-        steps in 1usize..5,
-        salt in 0u64..1000,
-    ) {
-        let g = graph_from(&triples, 12, 3);
-        let policy = MixPolicy { ds: 4, salt };
-        let cfg = BeamConfig::dedup(width, steps);
-        let want = beam_search_reference(&policy, &g, EntityId(source), RelationId(relation), &cfg);
-        let got = BeamEngine::new().search(&policy, &g, EntityId(source), RelationId(relation), &cfg);
-        assert_paths_bitwise(&got, &want);
-        // (Frontier-state uniqueness is asserted slot-level by the
-        // in-crate test `beam::tests::dedup_frontier_has_unique_states`;
-        // BeamPath cannot distinguish a NO_OP last step from a hop.)
     }
 
     #[test]
@@ -168,7 +147,7 @@ proptest! {
     ) {
         let g = graph_from(&triples, 10, 3);
         let policy = MixPolicy { ds: 5, salt };
-        let cfg = BeamConfig::exact(6, 4);
+        let cfg = BeamConfig::new(6, 4);
         let mut warm = BeamEngine::new();
         for s in 0..10u32 {
             warm.run(&policy, &g, EntityId(s), RelationId(1), &cfg);
@@ -206,7 +185,7 @@ fn reference_ranking<P: RolloutPolicy>(
             graph,
             q.source,
             q.relation,
-            &BeamConfig::exact(width, steps),
+            &BeamConfig::new(width, steps),
         );
         let mut best: HashMap<EntityId, (f32, usize)> = HashMap::new();
         for p in &paths {

@@ -80,7 +80,7 @@ fn beam_search_respects_width_and_scores() {
     let t = kg.split.test[0];
     for (name, p) in policies(&kg) {
         for width in [1usize, 4, 8] {
-            let paths = beam_search(&p, &kg.graph, t.s, t.r, width, 4);
+            let paths = beam_search(&*p, &kg.graph, t.s, t.r, width, 4);
             assert!(
                 paths.len() <= width,
                 "{name}: {} beams > width {width}",
@@ -117,7 +117,7 @@ fn ranking_summary_is_bounded_for_every_policy() {
         false,
     );
     for (name, p) in policies(&kg) {
-        let s = evaluate_ranking(&p, &kg.graph, &queries, &known, 4, 4);
+        let s = evaluate_ranking(&*p, &kg.graph, &queries, &known, 4, 4);
         assert!((0.0..=1.0).contains(&s.mrr), "{name}");
         assert!(
             s.hits1 <= s.hits5 && s.hits5 <= s.hits10,
