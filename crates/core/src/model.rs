@@ -429,17 +429,6 @@ impl MmkgrModel {
         }
     }
 
-    /// Raw structural row `y = [e_s; h; r_q]`.
-    pub fn raw_y_row(&self, source: EntityId, h: &[f32], rq: RelationId) -> Matrix {
-        let es = self.ent.row(&self.params, source.index());
-        let er = self.rel.row(&self.params, rq.index());
-        let mut y = Vec::with_capacity(es.len() + h.len() + er.len());
-        y.extend_from_slice(es);
-        y.extend_from_slice(h);
-        y.extend_from_slice(er);
-        Matrix::from_vec(1, y.len(), y)
-    }
-
     /// Raw modal features `X` for candidate targets (`m×d_x`).
     pub fn raw_modal_x(&self, targets: &[usize]) -> Option<Matrix> {
         let mut parts: Vec<Matrix> = Vec::with_capacity(2);

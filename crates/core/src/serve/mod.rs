@@ -17,9 +17,9 @@
 //!
 //! Both produce the same typed [`Answer`], so evaluation, the CLI, and
 //! batch serving ([`WorkerPool`]) are written once against
-//! `Arc<dyn KgReasoner + Send + Sync>`. [`ShardedReasoner`] composes N
-//! entity-partitioned reasoners behind the same trait for graphs too
-//! large for one exhaustive scorer pass.
+//! `Arc<dyn KgReasoner + Send + Sync>`. [`ShardedReasoner`] splits one
+//! exhaustive scorer's entity range across N shards behind the same
+//! trait, for graphs too large for one scorer pass.
 //!
 //! # Serving performance architecture
 //!
@@ -665,6 +665,10 @@ pub struct CacheStats {
 struct FrontierCache {
     capacity: usize,
     map: RwLock<HashMap<CacheKey, CacheEntry>>,
+    /// Invalidations so far, bumped under the write lock. A miss reads
+    /// it before pinning its epoch; [`Self::insert`] drops the result if
+    /// an invalidation ran in between, since that result may predate it.
+    generation: AtomicU64,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -675,6 +679,7 @@ impl FrontierCache {
         FrontierCache {
             capacity,
             map: RwLock::new(HashMap::with_capacity(capacity.min(1024))),
+            generation: AtomicU64::new(0),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -697,8 +702,21 @@ impl FrontierCache {
         }
     }
 
-    fn insert(&self, key: CacheKey, ranked: Arc<Vec<Candidate>>) {
+    /// The generation a miss must read before it pins the graph. This
+    /// `Acquire` pairs with the `Release` bump in
+    /// [`Self::invalidate_entities`]: a miss that sees a bump also pins
+    /// the epoch published before it.
+    fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Memoize `ranked`, computed by a miss that read `generation`
+    /// before pinning its epoch. Skipped if an invalidation ran since.
+    fn insert(&self, key: CacheKey, ranked: Arc<Vec<Candidate>>, generation: u64) {
         let mut map = self.map.write().unwrap();
+        if self.generation.load(Ordering::Relaxed) != generation {
+            return;
+        }
         if !map.contains_key(&key) && map.len() >= self.capacity {
             // Evict the least-recently-used entry.
             if let Some(victim) = map
@@ -743,6 +761,7 @@ impl FrontierCache {
         }
         let set: std::collections::HashSet<EntityId> = touched.iter().copied().collect();
         let mut map = self.map.write().unwrap();
+        self.generation.fetch_add(1, Ordering::Release);
         let before = map.len();
         map.retain(|key, entry| {
             !set.contains(&key.source) && !entry.ranked.iter().any(|c| set.contains(&c.entity))
@@ -917,24 +936,29 @@ impl<P: RolloutPolicy> KgReasoner for PolicyReasoner<P> {
             };
             full[..take].to_vec()
         };
-        // Pin once: the whole query (beam run included) sees one epoch.
-        let graph = self.graph.pin();
+        // Each miss pins once: the whole beam run sees one epoch.
         let ranked: Vec<Candidate> = match &self.cache {
             Some(cache) => match cache.get(&key) {
                 Some(hit) => prefix(&hit),
                 None => {
+                    // Read before the pin: a mutation published after the
+                    // pin invalidates after it too, so either `insert`
+                    // sees the bump and skips, or the invalidation drops
+                    // the entry.
+                    let generation = cache.generation();
                     let computed = Arc::new(self.compute_ranked(
-                        &graph,
+                        &self.graph.pin(),
                         query.source,
                         query.relation,
                         &beam_cfg,
                     ));
-                    cache.insert(key, Arc::clone(&computed));
+                    cache.insert(key, Arc::clone(&computed), generation);
                     prefix(&computed)
                 }
             },
             None => {
-                let mut full = self.compute_ranked(&graph, query.source, query.relation, &beam_cfg);
+                let mut full =
+                    self.compute_ranked(&self.graph.pin(), query.source, query.relation, &beam_cfg);
                 truncate_top_k(&mut full, query.top_k);
                 full
             }
@@ -1426,6 +1450,142 @@ mod tests {
         assert_eq!(a.rank_of(EntityId(2)), Some(2));
         assert_eq!(a.rank_of(EntityId(9)), Some(4));
         assert_eq!(a.rank_of(EntityId(77)), None);
+    }
+
+    /// MMKGR with a one-shot hook in `prepare_actions`, which the beam
+    /// engine first calls mid-query, after the miss path pinned its
+    /// epoch.
+    struct MidQuery {
+        model: MmkgrModel,
+        hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl RolloutPolicy for MidQuery {
+        fn hidden_dim(&self) -> usize {
+            self.model.hidden_dim()
+        }
+
+        fn lstm_input(&self, last_rel: RelationId, current: EntityId) -> Vec<f32> {
+            self.model.lstm_input(last_rel, current)
+        }
+
+        fn lstm_step(&self, x: &[f32], h: &mut [f32], c: &mut [f32]) {
+            self.model.lstm_step(x, h, c)
+        }
+
+        fn action_probs(
+            &self,
+            source: EntityId,
+            h: &[f32],
+            rq: RelationId,
+            actions: &[mmkgr_kg::Edge],
+            out: &mut Vec<f32>,
+        ) {
+            self.model.action_probs(source, h, rq, actions, out)
+        }
+
+        fn prepare_actions(&self, actions: &[mmkgr_kg::Edge]) -> Box<dyn std::any::Any> {
+            let hook = self.hook.lock().unwrap().take();
+            if let Some(hook) = hook {
+                hook();
+            }
+            self.model.prepare_actions(actions)
+        }
+
+        fn action_probs_group_prepared(
+            &self,
+            source: EntityId,
+            hs: &[f32],
+            states: usize,
+            rq: RelationId,
+            actions: &[mmkgr_kg::Edge],
+            prepared: &dyn std::any::Any,
+            out: &mut Vec<f32>,
+        ) {
+            self.model
+                .action_probs_group_prepared(source, hs, states, rq, actions, prepared, out)
+        }
+
+        fn prepare_step(&self, last_rel: RelationId, current: EntityId) -> Box<dyn std::any::Any> {
+            self.model.prepare_step(last_rel, current)
+        }
+
+        fn lstm_step_prepared(
+            &self,
+            last_rel: RelationId,
+            current: EntityId,
+            prepared: &dyn std::any::Any,
+            h: &mut [f32],
+            c: &mut [f32],
+        ) {
+            self.model
+                .lstm_step_prepared(last_rel, current, prepared, h, c)
+        }
+    }
+
+    /// A mutation that publishes epoch E+1 and invalidates while a miss
+    /// is computing at E must not leave the E answer in the cache.
+    #[test]
+    fn a_mutation_during_a_miss_leaves_no_stale_cache_entry() {
+        let (kg, model) = tiny();
+        let t = kg.split.test[0];
+        let q = Query::new(t.s, t.r)
+            .with_beam(8)
+            .with_steps(3)
+            .with_top_k(0);
+        let handle = GraphHandle::new(Arc::new(kg.graph.clone()));
+        // A new edge out of the source changes its action set.
+        let target = (0..kg.graph.num_entities() as u32)
+            .find(|&o| {
+                o != t.s.0
+                    && !kg
+                        .graph
+                        .neighbors(t.s)
+                        .iter()
+                        .any(|e| e.target.0 == o && e.relation == t.r)
+            })
+            .expect("some entity is not yet a neighbour");
+        let insert = mmkgr_kg::TripleOp::Insert(Triple::new(t.s.0, t.r.0, target));
+
+        let cached = Arc::new(
+            PolicyReasoner::try_new_live(
+                "MMKGR",
+                MidQuery {
+                    model,
+                    hook: Mutex::new(None),
+                },
+                handle.clone(),
+                ServeConfig::default().with_cache(16),
+            )
+            .unwrap(),
+        );
+        let reasoner = Arc::downgrade(&cached);
+        let writer = handle.clone();
+        *cached.policy().hook.lock().unwrap() = Some(Box::new(move || {
+            let (next, stats) = writer.pin().apply_ops(&[insert]).unwrap();
+            writer.publish(Arc::new(next));
+            reasoner
+                .upgrade()
+                .unwrap()
+                .invalidate_entities(&stats.touched);
+        }));
+        let before = PolicyReasoner::try_new_live(
+            "MMKGR",
+            tiny().1,
+            GraphHandle::new(Arc::new(kg.graph.clone())),
+            ServeConfig::default(),
+        )
+        .unwrap()
+        .answer(&q);
+
+        let during = cached.answer(&q);
+        assert_eq!(handle.epoch(), 1, "the hook published mid-query");
+        assert_eq!(during, before, "the miss ran entirely at its pinned epoch");
+        let after = PolicyReasoner::try_new_live("MMKGR", tiny().1, handle, ServeConfig::default())
+            .unwrap()
+            .answer(&q);
+        assert_ne!(after, before, "the new edge must change the answer");
+        assert_eq!(cached.answer(&q), after, "no stale entry may be served");
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::Duration;
@@ -290,16 +290,6 @@ impl LiveGraphStore {
             .wait_timeout_while(committed, timeout, |c| *c <= seen)
             .unwrap_or_else(|e| e.into_inner());
         *committed
-    }
-
-    /// Path of the WAL file backing this store (the replication
-    /// shipper's read source).
-    pub fn wal_file(&self) -> PathBuf {
-        self.wal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .path()
-            .to_path_buf()
     }
 
     /// Validate → WAL-commit → apply → publish one batch; maybe compact.

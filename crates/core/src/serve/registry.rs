@@ -231,15 +231,6 @@ impl ModelRegistry {
         self
     }
 
-    /// Make `name` the model unnamed requests hit.
-    pub fn set_default(&mut self, name: &str) -> Result<(), ApiError> {
-        if !self.models.contains_key(name) {
-            return Err(self.unknown_model(name));
-        }
-        self.default_model = Some(name.to_string());
-        Ok(())
-    }
-
     pub fn names(&self) -> &NameIndex {
         &self.names
     }

@@ -1,30 +1,26 @@
-//! Entity-sharded serving: one [`ShardedReasoner`] composes N shards
-//! behind the same [`KgReasoner`] trait the registry and HTTP front end
-//! already speak, so sharding is invisible above this module.
+//! Entity-sharded serving for exhaustive scorers: one
+//! [`ShardedReasoner`] splits a KGE scorer's object scoring across N
+//! shards behind the same [`KgReasoner`] trait the registry and HTTP
+//! front end already speak, so sharding is invisible above this module.
 //!
-//! Two sharding disciplines, matching the two model families:
+//! Exhaustive object scoring is partitioned by contiguous entity range.
+//! Shard `i` scores objects in `bounds[i]..bounds[i+1]` on its own
+//! thread, ranks and truncates its slice locally, and the merger
+//! re-sorts the per-shard top-k unions. This is exact: `score(s, r, o)`
+//! does not depend on which shard evaluates it, and the global top-k is
+//! always a subset of the union of per-shard top-ks, so the merged
+//! ranking is bit-identical to an unsharded [`super::ScorerReasoner`]
+//! pass (both use `sort_candidates`'s descending-score / ascending-id
+//! order).
 //!
-//! - **Scored** (KGE scorers): exhaustive object scoring is partitioned
-//!   by contiguous entity range. Shard `i` scores objects in
-//!   `bounds[i]..bounds[i+1]` on its own thread, ranks and truncates its
-//!   slice locally, and the merger re-sorts the per-shard top-k unions.
-//!   This is exact: `score(s, r, o)` does not depend on which shard
-//!   evaluates it, and the global top-k is always a subset of the union
-//!   of per-shard top-ks, so the merged ranking is bit-identical to an
-//!   unsharded [`super::ScorerReasoner`] pass (both use
-//!   `sort_candidates`'s descending-score / ascending-id order).
-//! - **Routed** (path reasoners): beam search walks the whole graph from
-//!   one source, so it cannot be range-split. Instead each query routes
-//!   to the shard owning its *source* entity; shards hold full replicas
-//!   (or shard-local fine-tunes) and answer independently. Batches fan
-//!   out across shards with one thread per non-empty shard.
-//!
-//! Either way the v1 wire surface is untouched: a `ShardedReasoner`
-//! registers in [`super::ModelRegistry`] like any other model.
+//! Path reasoners are not sharded: beam search walks the whole graph
+//! from the query's source, so it cannot be range-split, and a
+//! [`super::PolicyReasoner`] is always served whole, with one frontier
+//! cache.
 //!
 //! # Supervision
 //!
-//! Scored fan-out runs on a persistent per-reasoner shard pool (spawned
+//! Fan-out runs on a persistent per-reasoner shard pool (spawned
 //! once at construction, closing the old per-query `thread::scope`
 //! spawn cost) under a supervisor: every shard task runs inside
 //! `catch_unwind`, waits are bounded by the caller's [`Budget`], and a
@@ -43,38 +39,21 @@ use mmkgr_embed::TripleScorer;
 use mmkgr_kg::{EntityId, RelationId, RelationSpace};
 
 use super::{
-    candidates_from_scores, faults, panic_message, rank_top_k, Answer, ApiError, Budget,
-    CacheStats, Candidate, Coverage, Degraded, KgReasoner, Query,
+    candidates_from_scores, faults, panic_message, rank_top_k, Answer, ApiError, Budget, Candidate,
+    Coverage, Degraded, KgReasoner, Query,
 };
-use crate::infer::BeamPath;
 
 /// Why a [`ShardedReasoner`] could not be assembled.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ShardError {
-    /// Zero shards requested (or an empty shard list supplied).
+    /// Zero shards requested.
     NoShards,
-    /// A routed shard disagrees with shard 0 on entity count or relation
-    /// layout — replicas must serve the same graph shape.
-    ShapeMismatch {
-        shard: usize,
-        expected_entities: usize,
-        got_entities: usize,
-    },
 }
 
 impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::NoShards => write!(f, "ShardedReasoner needs at least one shard"),
-            ShardError::ShapeMismatch {
-                shard,
-                expected_entities,
-                got_entities,
-            } => write!(
-                f,
-                "shard {shard} serves {got_entities} entities but shard 0 serves \
-                 {expected_entities}; routed shards must be shape-identical replicas"
-            ),
         }
     }
 }
@@ -93,13 +72,6 @@ impl<S: TripleScorer + Send + Sync> ObjectScorer for S {
     fn score_range(&self, s: EntityId, r: RelationId, lo: usize, hi: usize, out: &mut Vec<f32>) {
         self.score_objects_range(s, r, lo, hi, out);
     }
-}
-
-enum Mode {
-    /// Exhaustive scoring split by entity range.
-    Scored(Arc<dyn ObjectScorer>),
-    /// Full reasoners, queries routed by source-entity shard.
-    Routed(Vec<Arc<dyn KgReasoner + Send + Sync>>),
 }
 
 /// One unit of shard work: score a range, report back.
@@ -174,18 +146,18 @@ fn shard_attempt(
     .map_err(|p| panic_message(&*p))
 }
 
-/// N entity-partitioned shards behind one [`KgReasoner`] (see the module
-/// docs for the two disciplines and the exactness argument).
+/// An exhaustive scorer split into N entity-range shards behind one
+/// [`KgReasoner`] (see the module docs for the exactness argument).
 pub struct ShardedReasoner {
     name: String,
-    mode: Mode,
+    scorer: Arc<dyn ObjectScorer>,
     num_entities: usize,
     relations: RelationSpace,
     /// `bounds[i]..bounds[i+1]` is shard `i`'s entity range;
     /// `bounds.len() == shards + 1`, `bounds[0] == 0`, last == entities.
     bounds: Vec<usize>,
-    /// Persistent fan-out threads for scored mode (`None` for routed
-    /// mode and for a single shard, which scores on the caller thread).
+    /// Persistent fan-out threads (`None` for a single shard, which
+    /// scores on the caller thread).
     pool: Option<ShardPool>,
 }
 
@@ -193,13 +165,6 @@ impl std::fmt::Debug for ShardedReasoner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedReasoner")
             .field("name", &self.name)
-            .field(
-                "mode",
-                &match self.mode {
-                    Mode::Scored(_) => "scored",
-                    Mode::Routed(_) => "routed",
-                },
-            )
             .field("num_entities", &self.num_entities)
             .field("bounds", &self.bounds)
             .finish()
@@ -230,7 +195,7 @@ impl ShardedReasoner {
         }
         Ok(ShardedReasoner {
             name: name.into(),
-            mode: Mode::Scored(Arc::new(scorer)),
+            scorer: Arc::new(scorer),
             num_entities,
             relations,
             bounds: uniform_bounds(num_entities, shards),
@@ -238,49 +203,9 @@ impl ShardedReasoner {
         })
     }
 
-    /// Compose full reasoner replicas, routing each query to the shard
-    /// that owns its source entity. All shards must agree on entity
-    /// count and relation layout. Errors on an empty list or a shape
-    /// mismatch.
-    pub fn from_routed(
-        name: impl Into<String>,
-        shards: Vec<Arc<dyn KgReasoner + Send + Sync>>,
-    ) -> Result<Self, ShardError> {
-        let first = shards.first().ok_or(ShardError::NoShards)?;
-        let num_entities = first.num_entities();
-        let relations = first.relations();
-        for (i, s) in shards.iter().enumerate().skip(1) {
-            if s.num_entities() != num_entities || s.relations() != relations {
-                return Err(ShardError::ShapeMismatch {
-                    shard: i,
-                    expected_entities: num_entities,
-                    got_entities: s.num_entities(),
-                });
-            }
-        }
-        let bounds = uniform_bounds(num_entities, shards.len());
-        Ok(ShardedReasoner {
-            name: name.into(),
-            mode: Mode::Routed(shards),
-            num_entities,
-            relations,
-            bounds,
-            pool: None,
-        })
-    }
-
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.bounds.len() - 1
-    }
-
-    /// Which shard owns entity `e` (callers guarantee `e` is in range).
-    fn shard_of(&self, e: EntityId) -> usize {
-        // bounds is sorted; the owner is the last bound <= e.
-        self.bounds
-            .partition_point(|&b| b <= e.index())
-            .saturating_sub(1)
-            .min(self.num_shards() - 1)
     }
 
     /// Score shard `i`'s entity range, returning its slice of the
@@ -303,7 +228,6 @@ impl ShardedReasoner {
     /// returned list.
     fn run_wave(
         &self,
-        scorer: &Arc<dyn ObjectScorer>,
         query: &Query,
         pending: &[(usize, usize, usize)],
         budget: Budget,
@@ -311,12 +235,12 @@ impl ShardedReasoner {
         let Some(pool) = &self.pool else {
             return pending
                 .iter()
-                .map(|&(shard, lo, hi)| (shard, shard_attempt(&**scorer, query, shard, lo, hi)))
+                .map(|&(shard, lo, hi)| (shard, shard_attempt(&*self.scorer, query, shard, lo, hi)))
                 .collect();
         };
         let (res_tx, res_rx) = mpsc::channel();
         for &(shard, lo, hi) in pending {
-            let scorer = Arc::clone(scorer);
+            let scorer = Arc::clone(&self.scorer);
             let query = *query;
             let tx = res_tx.clone();
             pool.submit(Box::new(move || {
@@ -338,6 +262,25 @@ impl ShardedReasoner {
         }
         results
     }
+}
+
+impl KgReasoner for ShardedReasoner {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn num_entities(&self) -> usize {
+        self.num_entities
+    }
+
+    fn relations(&self) -> RelationSpace {
+        self.relations
+    }
+
+    fn answer(&self, query: &Query) -> Answer {
+        self.answer_within(query, Budget::none())
+            .expect("an unlimited budget cannot exceed its deadline")
+    }
 
     /// Exhaustive answer, fanned across shards under supervision: every
     /// shard attempt is unwind-guarded, waits are budget-bounded, and a
@@ -345,12 +288,7 @@ impl ShardedReasoner {
     /// Survivor results merge into the exact top-k over their ranges; if
     /// any shard stayed down the answer carries a [`Degraded`]
     /// annotation. An exhausted budget is an error, not a late answer.
-    fn answer_scored_within(
-        &self,
-        scorer: &Arc<dyn ObjectScorer>,
-        query: &Query,
-        budget: Budget,
-    ) -> Result<Answer, ApiError> {
+    fn answer_within(&self, query: &Query, budget: Budget) -> Result<Answer, ApiError> {
         if budget.expired() {
             return Err(budget.exceeded());
         }
@@ -373,7 +311,7 @@ impl ShardedReasoner {
                 faults::SHARD_RETRIES.fetch_add(pending.len() as u64, Ordering::Relaxed);
                 std::thread::sleep(budget.clamp(Duration::from_millis(1) + faults::jitter(8)));
             }
-            let wave = self.run_wave(scorer, query, &pending, budget);
+            let wave = self.run_wave(query, &pending, budget);
             pending.retain(|&(shard, _, _)| {
                 !wave.iter().any(|&(s, ref out)| s == shard && out.is_ok())
             });
@@ -402,91 +340,10 @@ impl ShardedReasoner {
     }
 }
 
-impl KgReasoner for ShardedReasoner {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn num_entities(&self) -> usize {
-        self.num_entities
-    }
-
-    fn relations(&self) -> RelationSpace {
-        self.relations
-    }
-
-    fn answer(&self, query: &Query) -> Answer {
-        match &self.mode {
-            Mode::Scored(scorer) => self
-                .answer_scored_within(scorer, query, Budget::none())
-                .expect("an unlimited budget cannot exceed its deadline"),
-            Mode::Routed(shards) => shards[self.shard_of(query.source)].answer(query),
-        }
-    }
-
-    fn answer_within(&self, query: &Query, budget: Budget) -> Result<Answer, ApiError> {
-        match &self.mode {
-            Mode::Scored(scorer) => self.answer_scored_within(scorer, query, budget),
-            Mode::Routed(shards) => {
-                shards[self.shard_of(query.source)].answer_within(query, budget)
-            }
-        }
-    }
-
-    fn explain(&self, query: &Query) -> Option<Vec<BeamPath>> {
-        match &self.mode {
-            Mode::Scored(_) => None,
-            Mode::Routed(shards) => shards[self.shard_of(query.source)].explain(query),
-        }
-    }
-
-    /// Routed mode: counters summed across shards that report any
-    /// (capacity and entries add; a miss on one shard is a miss).
-    fn cache_stats(&self) -> Option<CacheStats> {
-        match &self.mode {
-            Mode::Scored(_) => None,
-            Mode::Routed(shards) => {
-                let per_shard: Vec<CacheStats> =
-                    shards.iter().filter_map(|s| s.cache_stats()).collect();
-                if per_shard.is_empty() {
-                    return None;
-                }
-                let mut total = CacheStats::default();
-                for s in per_shard {
-                    total.entries += s.entries;
-                    total.capacity += s.capacity;
-                    total.hits += s.hits;
-                    total.misses += s.misses;
-                }
-                Some(total)
-            }
-        }
-    }
-
-    fn has_path_evidence(&self) -> bool {
-        match &self.mode {
-            Mode::Scored(_) => false,
-            Mode::Routed(shards) => shards[0].has_path_evidence(),
-        }
-    }
-
-    /// Routed mode: every replica caches independently, so a live-graph
-    /// mutation must drop the touched entries on all of them.
-    fn invalidate_entities(&self, touched: &[mmkgr_kg::EntityId]) -> usize {
-        match &self.mode {
-            Mode::Scored(_) => 0,
-            Mode::Routed(shards) => shards.iter().map(|s| s.invalidate_entities(touched)).sum(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::{PolicyReasoner, ScorerReasoner, ServeConfig, WorkerPool};
+    use super::super::ScorerReasoner;
     use super::*;
-    use crate::config::MmkgrConfig;
-    use crate::model::MmkgrModel;
-    use mmkgr_datagen::{generate, GenConfig};
     use mmkgr_embed::TransE;
 
     /// Hold for the whole test: it serializes with the tests that
@@ -549,62 +406,6 @@ mod tests {
         let a = sharded.answer(&Query::new(EntityId(0), RelationId(0)).with_top_k(0));
         let ids: Vec<u32> = a.ranked.iter().map(|c| c.entity.0).collect();
         assert_eq!(ids, (0..10).collect::<Vec<u32>>());
-    }
-
-    fn policy_shards(
-        replicas: usize,
-    ) -> (Vec<Query>, Arc<PolicyReasoner<MmkgrModel>>, ShardedReasoner) {
-        let kg = generate(&GenConfig::tiny());
-        let model = MmkgrModel::new(&kg, MmkgrConfig::quick(), None);
-        let graph = Arc::new(kg.graph.clone());
-        let single = Arc::new(PolicyReasoner::new(
-            "MMKGR",
-            model,
-            Arc::clone(&graph),
-            ServeConfig::default(),
-        ));
-        // Replicas share the single reasoner: routing must be a pure
-        // dispatch, so "shard i answered" is indistinguishable by value.
-        let shards: Vec<Arc<dyn KgReasoner + Send + Sync>> = (0..replicas)
-            .map(|_| Arc::clone(&single) as Arc<dyn KgReasoner + Send + Sync>)
-            .collect();
-        let sharded = ShardedReasoner::from_routed("MMKGR-x4", shards).unwrap();
-        let queries: Vec<Query> = kg
-            .split
-            .test
-            .iter()
-            .take(8)
-            .map(|t| Query::new(t.s, t.r).with_beam(8).with_steps(3))
-            .collect();
-        (queries, single, sharded)
-    }
-
-    #[test]
-    fn routed_policy_matches_single_reasoner() {
-        let _faults = no_faults();
-        let (queries, single, sharded) = policy_shards(4);
-        assert!(sharded.has_path_evidence());
-        for q in &queries {
-            assert_eq!(sharded.answer(q), single.answer(q));
-            assert_eq!(sharded.explain(q), single.explain(q));
-        }
-        // A worker pool over the routed reasoner preserves query order.
-        let pool = WorkerPool::new(Arc::new(sharded), 3);
-        let batched = pool.answer_batch(&queries);
-        let sequential: Vec<Answer> = queries.iter().map(|q| single.answer(q)).collect();
-        assert_eq!(batched, sequential);
-        assert!(pool.answer_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn every_entity_routes_to_a_valid_shard() {
-        let (_, _, sharded) = policy_shards(4);
-        let n = sharded.num_entities();
-        for e in 0..n as u32 {
-            let s = sharded.shard_of(EntityId(e));
-            assert!(s < sharded.num_shards());
-            assert!(sharded.bounds[s] <= e as usize && (e as usize) < sharded.bounds[s + 1]);
-        }
     }
 
     /// Degraded-mode parity: with shard `dead` forced down, the answer
@@ -711,28 +512,6 @@ mod tests {
         assert_eq!(
             ShardedReasoner::from_scorer("x", transe(n, rs), n, rs, 0).unwrap_err(),
             ShardError::NoShards
-        );
-        assert_eq!(
-            ShardedReasoner::from_routed("x", Vec::new()).unwrap_err(),
-            ShardError::NoShards
-        );
-        let a = Arc::new(ScorerReasoner::new("a", transe(n, rs), n, rs));
-        let b = Arc::new(ScorerReasoner::new("b", transe(9, rs), 9, rs));
-        let err = ShardedReasoner::from_routed(
-            "mixed",
-            vec![
-                a as Arc<dyn KgReasoner + Send + Sync>,
-                b as Arc<dyn KgReasoner + Send + Sync>,
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(
-            err,
-            ShardError::ShapeMismatch {
-                shard: 1,
-                expected_entities: n,
-                got_entities: 9
-            }
         );
     }
 }

@@ -10,7 +10,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mmkgr_kg::{hop_distance, EntityId, KnowledgeGraph, Split, Triple};
+use mmkgr_kg::{hop_distance, KnowledgeGraph, Split, Triple};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -234,15 +234,4 @@ pub fn inferable_fraction(graph: &KnowledgeGraph, triples: &[Triple], k: usize) 
         .filter(|t| hop_distance(graph, t.s, t.o, k).is_some())
         .count();
     hits as f64 / triples.len() as f64
-}
-
-/// Entities referenced by any triple in the split (sanity check helper).
-pub fn referenced_entities(split: &Split) -> HashSet<EntityId> {
-    split
-        .train
-        .iter()
-        .chain(&split.valid)
-        .chain(&split.test)
-        .flat_map(|t| [t.s, t.o])
-        .collect()
 }

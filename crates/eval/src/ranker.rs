@@ -19,7 +19,6 @@
 use std::sync::Arc;
 
 use mmkgr_core::infer::{RankingSummary, RolloutPolicy};
-use mmkgr_core::mdp::RolloutQuery;
 use mmkgr_core::serve::{
     Answer, Coverage, KgReasoner, PolicyReasoner, Query, ScorerReasoner, ServeConfig,
 };
@@ -235,17 +234,6 @@ fn relation_map_impl(
         overall: mean(&all),
         queries: all.len(),
     }
-}
-
-/// Training-query construction helper re-exported for binaries.
-pub fn tail_queries(test: &[Triple]) -> Vec<RolloutQuery> {
-    test.iter()
-        .map(|t| RolloutQuery {
-            source: t.s,
-            relation: t.r,
-            answer: t.o,
-        })
-        .collect()
 }
 
 #[cfg(test)]

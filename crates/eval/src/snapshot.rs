@@ -103,7 +103,7 @@ pub enum SnapshotBuildError {
     BadManifest(String),
     /// A weight section's scalar count disagrees with the reconstructed
     /// parameter arena.
-    ShapeMismatch {
+    WeightCountMismatch {
         model: String,
         expected: usize,
         got: usize,
@@ -121,7 +121,7 @@ impl std::fmt::Display for SnapshotBuildError {
             }
             SnapshotBuildError::Snapshot(e) => write!(f, "snapshot: {e}"),
             SnapshotBuildError::BadManifest(why) => write!(f, "bad registry manifest: {why}"),
-            SnapshotBuildError::ShapeMismatch {
+            SnapshotBuildError::WeightCountMismatch {
                 model,
                 expected,
                 got,
@@ -231,7 +231,7 @@ fn flatten_params(p: &Params) -> Vec<f32> {
 /// [`flatten_params`] on an identically-shaped arena.
 fn restore_params(model: &str, p: &mut Params, flat: &[f32]) -> Result<(), SnapshotBuildError> {
     if p.num_scalars() != flat.len() {
-        return Err(SnapshotBuildError::ShapeMismatch {
+        return Err(SnapshotBuildError::WeightCountMismatch {
             model: model.to_string(),
             expected: p.num_scalars(),
             got: flat.len(),
@@ -404,7 +404,6 @@ fn decode_model(
 ) -> Result<Arc<dyn KgReasoner + Send + Sync>, SnapshotBuildError> {
     let n_ent = graph.num_entities();
     let rs = graph.relations();
-    let shard_err = |e| SnapshotBuildError::BadManifest(format!("sharding: {e}"));
     match entry.family.as_str() {
         "mmkgr" => {
             let json = std::str::from_utf8(snap.blob(entry.section)?).map_err(|_| {
@@ -413,22 +412,12 @@ fn decode_model(
             let model = MmkgrModel::from_json(json)
                 .map_err(|e| SnapshotBuildError::BadManifest(format!("mmkgr checkpoint: {e}")))?;
             // Built over the *shared* handle, so a live boot's published
-            // mutations become visible to the policy's beam walks.
-            let single: Arc<dyn KgReasoner + Send + Sync> = Arc::new(
+            // mutations become visible to the policy's beam walks. Served
+            // whole at any shard count: beam search cannot be range-split.
+            Ok(Arc::new(
                 PolicyReasoner::try_new_live(entry.name.clone(), model, handle.clone(), serve)
                     .map_err(|e| SnapshotBuildError::BadManifest(format!("serve config: {e}")))?,
-            );
-            if shards > 1 {
-                // Policy shards are source-routed replicas of one model
-                // (beam search cannot be range-split; see serve::sharded).
-                let replicas = (0..shards).map(|_| Arc::clone(&single)).collect();
-                Ok(Arc::new(
-                    ShardedReasoner::from_routed(entry.name.clone(), replicas)
-                        .map_err(shard_err)?,
-                ))
-            } else {
-                Ok(single)
-            }
+            ))
         }
         "kge" => {
             let (flat, _, _) = snap.f32_tensor(entry.section)?;
@@ -436,7 +425,7 @@ fn decode_model(
             if shards > 1 {
                 Ok(Arc::new(
                     ShardedReasoner::from_scorer(entry.name.clone(), kge, n_ent, rs, shards)
-                        .map_err(shard_err)?,
+                        .map_err(|e| SnapshotBuildError::BadManifest(format!("sharding: {e}")))?,
                 ))
             } else {
                 Ok(Arc::new(ScorerReasoner::new(
@@ -554,8 +543,8 @@ fn finish_boot(
 /// their sections, so boot time is file-open + parameter copy.
 ///
 /// `serve_override` replaces the snapshot's recorded [`ServeConfig`];
-/// `shards > 1` wraps every model in a [`ShardedReasoner`] (entity-range
-/// sharding for scorers, source-routed replicas for policies).
+/// `shards > 1` splits each KGE scorer's entity range across a
+/// [`ShardedReasoner`]. Path models are served unsharded.
 pub fn load_registry_snapshot(
     path: &Path,
     serve_override: Option<ServeConfig>,
@@ -716,21 +705,39 @@ mod tests {
     #[test]
     fn mmkgr_policy_round_trips_through_json_blob() {
         let h = tiny_harness();
-        let serve = ServeConfig::default();
+        let serve = ServeConfig::default().with_cache(64);
         let path = tmp("mmkgr");
         write_registry_snapshot(&path, &h, &[ModelChoice::Mmkgr(Variant::Full)], serve).unwrap();
 
         let fresh = build_reasoner(&h, ModelChoice::Mmkgr(Variant::Full), serve);
-        let loaded = load_registry_snapshot(&path, None, 1).unwrap();
-        let (_, booted) = loaded.registry.get(Some("MMKGR")).unwrap();
-        assert!(booted.has_path_evidence());
-        for t in h.eval_triples.iter().take(3) {
-            let q = Query::new(t.s, t.r)
-                .with_beam(8)
-                .with_steps(3)
-                .with_top_k(0);
-            assert_eq!(booted.answer(&q), fresh.answer(&q));
+        let queries: Vec<Query> = h
+            .eval_triples
+            .iter()
+            .take(3)
+            .map(|t| {
+                Query::new(t.s, t.r)
+                    .with_beam(8)
+                    .with_steps(3)
+                    .with_top_k(0)
+            })
+            .collect();
+        let keys: std::collections::HashSet<_> =
+            queries.iter().map(|q| (q.source, q.relation)).collect();
+        let mut stats = Vec::new();
+        for shards in [1usize, 4] {
+            let loaded = load_registry_snapshot(&path, None, shards).unwrap();
+            let (_, booted) = loaded.registry.get(Some("MMKGR")).unwrap();
+            assert!(booted.has_path_evidence());
+            for q in queries.iter().chain(&queries) {
+                assert_eq!(booted.answer(q), fresh.answer(q), "shards={shards}");
+            }
+            // One reasoner with one cache at any shard count.
+            let s = booted.cache_stats().expect("the cache is configured");
+            assert_eq!(s.entries, keys.len(), "shards={shards}");
+            assert_eq!(s.capacity, 64, "shards={shards}");
+            stats.push(s);
         }
+        assert_eq!(stats[0], stats[1]);
         std::fs::remove_file(&path).ok();
     }
 

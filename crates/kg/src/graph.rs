@@ -197,15 +197,6 @@ impl KnowledgeGraph {
         self.delta.is_some()
     }
 
-    /// Size of the pending overlay in logical triples (added + deleted) —
-    /// the serving layer's compaction trigger.
-    pub fn delta_len(&self) -> usize {
-        self.delta
-            .as_ref()
-            .map(|d| d.added.len() + d.deleted.len())
-            .unwrap_or(0)
-    }
-
     #[inline]
     pub fn num_entities(&self) -> usize {
         self.store.num_entities()

@@ -21,12 +21,6 @@ pub fn xavier(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     uniform(rng, rows, cols, bound)
 }
 
-/// He/Kaiming uniform for ReLU layers: `bound = sqrt(6 / fan_in)`.
-pub fn he(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
-    let bound = (6.0 / rows as f32).sqrt();
-    uniform(rng, rows, cols, bound)
-}
-
 /// Approximate standard normal via the sum of 12 uniforms (Irwin–Hall),
 /// scaled by `std`. Accurate enough for initialization and avoids pulling
 /// in a dedicated distributions crate.

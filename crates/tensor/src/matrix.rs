@@ -395,15 +395,6 @@ impl Matrix {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
-    /// Squared L2 norm of each row, returned as an `rows × 1` column.
-    pub fn row_sq_norms(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, 1);
-        for r in 0..self.rows {
-            out.data[r] = self.row(r).iter().map(|v| v * v).sum();
-        }
-        out
-    }
-
     /// Index of the max element in row `r` (ties resolved to the first).
     pub fn argmax_row(&self, r: usize) -> usize {
         let row = self.row(r);
