@@ -30,7 +30,7 @@ fn main() {
         let r = h.eval_policy(&trainer.model);
         let row = ModelRow::new(kind.name(), &r);
         let mut cells = row.cells();
-        cells.push(trainer.model.params.num_scalars().to_string());
+        cells.push(trainer.model.params().num_scalars().to_string());
         table.push_row(cells);
         dump.push((kind.name().to_string(), row));
     }

@@ -10,8 +10,8 @@
 //!   allocation, grouped/memoized policy forwards.
 //!
 //! Every ratio it writes compares two numbers taken in the same run
-//! (`speedup_exact_vs_reference`), never a live number against one
-//! recorded on another machine.
+//! (`speedup_exact_vs_reference`, the median of per-trial-pair ratios),
+//! never a live number against one recorded on another machine.
 //!
 //! Plus `answer_batch` throughput on a persistent [`WorkerPool`] at 1
 //! and 4 workers, and the frontier-cache hit path.
@@ -21,9 +21,12 @@
 //! default model config, width 16, T 4, distinct train keys): engine
 //! time per query, `raw_prepare_actions` per distinct entity, and the
 //! gate-attention action distribution per beam state with its mean
-//! action count. Its `frontier_checksum` hashes every final frontier's
-//! entities and `logp` bits, so a build that moves any of those bits on
-//! these keys reads a different checksum (up to hash collisions).
+//! action count. After one warm-up pass it runs several timed passes
+//! over the keys, alternating the bare engine with the layer-timed one,
+//! and records each time's median and quartiles over the passes. Its
+//! `frontier_checksum` hashes every final frontier's entities and `logp`
+//! bits, so a build that moves any of those bits on these keys reads a
+//! different checksum (up to hash collisions).
 //!
 //! Usage: `cargo run --release -p mmkgr-bench --bin bench_serve`
 //! (writes `BENCH_serve.json` to the current directory).
@@ -49,10 +52,12 @@ use serde::Serialize;
 struct BeamBench {
     width: usize,
     steps: usize,
-    /// Live: retained pre-engine algorithm on current kernels.
+    /// Live: retained pre-engine algorithm on current kernels. Both
+    /// times are each side's best trial.
     reference_ns_per_query: u64,
     engine_exact_ns_per_query: u64,
-    /// reference / engine_exact: the engine-structure win alone.
+    /// Median over the alternating trial pairs of reference / engine:
+    /// the engine-structure win alone.
     speedup_exact_vs_reference: f64,
 }
 
@@ -66,16 +71,37 @@ struct BatchBench {
     cached_qps: f64,
 }
 
+/// Median and quartiles of a sample (nearest rank).
+#[derive(Serialize)]
+struct Spread {
+    p25: f64,
+    p50: f64,
+    p75: f64,
+}
+
+fn spread(mut xs: Vec<f64>) -> Spread {
+    xs.sort_by(f64::total_cmp);
+    let at = |q: f64| xs[((xs.len() - 1) as f64 * q).round() as usize];
+    Spread {
+        p25: at(0.25),
+        p50: at(0.5),
+        p75: at(0.75),
+    }
+}
+
 #[derive(Serialize)]
 struct EngineBench {
     dataset: String,
     width: usize,
     steps: usize,
     queries: usize,
-    engine_ms_per_query_p50: f64,
-    prepare_actions_us_per_entity: f64,
+    /// Timed passes over the keys, after one warm-up pass.
+    passes: usize,
+    /// Per pass, the median engine time of one query.
+    engine_ms_per_query: Spread,
+    prepare_actions_us_per_entity: Spread,
     entities_per_query: f64,
-    action_probs_us_per_state: f64,
+    action_probs_us_per_state: Spread,
     states_per_query: f64,
     /// Mean action count `m` over the timed states.
     mean_actions: f64,
@@ -96,8 +122,8 @@ struct ServeBench {
 }
 
 /// Fixed budget of one timing trial, and trials per side.
-const TRIAL: std::time::Duration = std::time::Duration::from_millis(400);
-const TRIALS: usize = 5;
+const TRIAL: std::time::Duration = std::time::Duration::from_millis(200);
+const TRIALS: usize = 10;
 
 /// Mean nanoseconds per call of `f` over one [`TRIAL`].
 fn trial_ns(f: &mut impl FnMut()) -> u64 {
@@ -111,22 +137,24 @@ fn trial_ns(f: &mut impl FnMut()) -> u64 {
 }
 
 /// Time `a` and `b` per call in nanoseconds: after warmup, their trials
-/// alternate (a, b, a, b, …) and each side keeps its best (minimum)
-/// mean. The minimum is the standard low-noise estimator for
-/// microbenches on a shared box — scheduler interference only ever
-/// inflates a trial — and alternating spreads a spell of host
-/// contention over both sides instead of one side's block of trials.
-fn time_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64) {
+/// alternate (a, b, a, b, …). Returns each side's best (minimum) mean —
+/// scheduler interference only ever inflates a trial — and the median
+/// over the trial pairs of `a / b`. A pair runs back to back, so a spell
+/// of host contention moves both of its sides, and the median ratio
+/// does not hinge on one side alone catching a quiet spell.
+fn time_pair_ns(mut a: impl FnMut(), mut b: impl FnMut()) -> (u64, u64, f64) {
     for _ in 0..3 {
         a();
         b();
     }
     let mut best = (u64::MAX, u64::MAX);
+    let mut ratios = Vec::with_capacity(TRIALS);
     for _ in 0..TRIALS {
-        best.0 = best.0.min(trial_ns(&mut a));
-        best.1 = best.1.min(trial_ns(&mut b));
+        let (ta, tb) = (trial_ns(&mut a), trial_ns(&mut b));
+        best = (best.0.min(ta), best.1.min(tb));
+        ratios.push(ta as f64 / tb.max(1) as f64);
     }
-    best
+    (best.0, best.1, spread(ratios).p50)
 }
 
 fn bench_beam(
@@ -144,7 +172,7 @@ fn bench_beam(
     };
     let cfg = BeamConfig::new(width, steps);
     let mut engine = BeamEngine::new();
-    let (reference, engine_exact) = time_pair_ns(
+    let (reference, engine_exact, speedup) = time_pair_ns(
         || {
             let paths = beam_search_reference(model, &kg.graph, next(), RelationId(0), &cfg);
             std::hint::black_box(paths.len());
@@ -159,7 +187,7 @@ fn bench_beam(
         steps,
         reference_ns_per_query: reference,
         engine_exact_ns_per_query: engine_exact,
-        speedup_exact_vs_reference: reference as f64 / engine_exact.max(1) as f64,
+        speedup_exact_vs_reference: speedup,
     }
 }
 
@@ -167,8 +195,8 @@ fn bench_beam(
 const ENGINE_KEYS: usize = 400;
 const ENGINE_WIDTH: usize = 16;
 const ENGINE_STEPS: usize = 4;
-/// Timed passes over the keys (the first pass also warms the engine).
-const ENGINE_PASSES: usize = 3;
+/// Timed passes over the keys, after one warm-up pass.
+const ENGINE_PASSES: usize = 5;
 
 /// [`MmkgrModel`] with the engine's two policy layers timed: the
 /// per-entity `prepare_actions` and the per-group action distribution.
@@ -282,11 +310,21 @@ fn bench_engine() -> EngineBench {
     let cfg = BeamConfig::new(ENGINE_WIDTH, ENGINE_STEPS);
     let mut engine = BeamEngine::new();
 
-    // Engine time per query, untimed inside; every pass must produce the
-    // same frontiers.
-    let mut query_ms = Vec::with_capacity(ENGINE_PASSES * keys.len());
-    let mut checksum = None;
+    // The warm-up pass: the first query also builds the model's lazy
+    // tables, and every later pass must produce the same frontiers.
+    let mut checksum = 0xcbf2_9ce4_8422_2325u64;
+    for &(s, r) in &keys {
+        engine.run(&model, &kg.graph, EntityId(s), RelationId(r), &cfg);
+        checksum = fold_frontier(&engine, checksum);
+    }
+
+    // Alternate a pass of the bare engine (untimed inside) with a pass
+    // timing its two policy layers through a delegating policy, so a
+    // spell of host contention lands on both kinds of pass.
+    let (mut engine_ms, mut prepare_us, mut probs_us) = (Vec::new(), Vec::new(), Vec::new());
+    let mut timed = None;
     for _ in 0..ENGINE_PASSES {
+        let mut query_ms = Vec::with_capacity(keys.len());
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for &(s, r) in &keys {
             let t = Instant::now();
@@ -294,40 +332,45 @@ fn bench_engine() -> EngineBench {
             query_ms.push(t.elapsed().as_secs_f64() * 1e3);
             h = fold_frontier(&engine, h);
         }
-        assert!(
-            checksum.is_none_or(|c| c == h),
+        assert_eq!(
+            h, checksum,
             "engine passes disagree: the engine is not deterministic"
         );
-        checksum = Some(h);
-    }
-    query_ms.sort_by(f64::total_cmp);
+        engine_ms.push(spread(query_ms).p50);
 
-    // The two policy layers, timed through a delegating policy.
-    let timed = TimedPolicy {
-        model: &model,
-        prepare_ns: Cell::new(0),
-        prepares: Cell::new(0),
-        probs_ns: Cell::new(0),
-        states: Cell::new(0),
-        state_actions: Cell::new(0),
-    };
-    for &(s, r) in &keys {
-        engine.run(&timed, &kg.graph, EntityId(s), RelationId(r), &cfg);
+        let pass = TimedPolicy {
+            model: &model,
+            prepare_ns: Cell::new(0),
+            prepares: Cell::new(0),
+            probs_ns: Cell::new(0),
+            states: Cell::new(0),
+            state_actions: Cell::new(0),
+        };
+        for &(s, r) in &keys {
+            engine.run(&pass, &kg.graph, EntityId(s), RelationId(r), &cfg);
+        }
+        let per = |ns: &Cell<u64>, n: &Cell<u64>| ns.get() as f64 / 1e3 / n.get().max(1) as f64;
+        prepare_us.push(per(&pass.prepare_ns, &pass.prepares));
+        probs_us.push(per(&pass.probs_ns, &pass.states));
+        timed = Some(pass);
     }
-    let per = |ns: &Cell<u64>, n: &Cell<u64>| ns.get() as f64 / 1e3 / n.get().max(1) as f64;
+    // Every pass visits the same entities and states; read the counts
+    // from the last one.
+    let timed = timed.expect("at least one timed pass");
     let queries = keys.len() as f64;
     EngineBench {
         dataset: kg.name.clone(),
         width: ENGINE_WIDTH,
         steps: ENGINE_STEPS,
         queries: keys.len(),
-        engine_ms_per_query_p50: query_ms[query_ms.len() / 2],
-        prepare_actions_us_per_entity: per(&timed.prepare_ns, &timed.prepares),
+        passes: ENGINE_PASSES,
+        engine_ms_per_query: spread(engine_ms),
+        prepare_actions_us_per_entity: spread(prepare_us),
         entities_per_query: timed.prepares.get() as f64 / queries,
-        action_probs_us_per_state: per(&timed.probs_ns, &timed.states),
+        action_probs_us_per_state: spread(probs_us),
         states_per_query: timed.states.get() as f64 / queries,
         mean_actions: timed.state_actions.get() as f64 / timed.states.get().max(1) as f64,
-        frontier_checksum: format!("{:016x}", checksum.unwrap_or_default()),
+        frontier_checksum: format!("{checksum:016x}"),
     }
 }
 
@@ -402,16 +445,18 @@ fn main() {
     );
 
     let engine = bench_engine();
+    let quartiles = |s: &Spread| format!("{:.2} [{:.2}, {:.2}]", s.p50, s.p25, s.p75);
     println!(
-        "engine ({}, w{} T{}, {} keys): p50 {:.2} ms/query; prepare_actions {:.1} us x {:.1}/query; action probs {:.1} us x {:.1} states/query (mean m {:.1}); checksum {}",
+        "engine ({}, w{} T{}, {} keys, {} passes; median [p25, p75]): {} ms/query; prepare_actions {} us x {:.1}/query; action probs {} us x {:.1} states/query (mean m {:.1}); checksum {}",
         engine.dataset,
         engine.width,
         engine.steps,
         engine.queries,
-        engine.engine_ms_per_query_p50,
-        engine.prepare_actions_us_per_entity,
+        engine.passes,
+        quartiles(&engine.engine_ms_per_query),
+        quartiles(&engine.prepare_actions_us_per_entity),
         engine.entities_per_query,
-        engine.action_probs_us_per_state,
+        quartiles(&engine.action_probs_us_per_state),
         engine.states_per_query,
         engine.mean_actions,
         engine.frontier_checksum,

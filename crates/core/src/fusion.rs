@@ -23,6 +23,15 @@
 //! With no modalities at all (OSKGR) the caller uses [`GateAttention::
 //! bypass`] — a linear projection of `y` (paper §V-E: "only structural
 //! features are considered in Eq. (17)").
+//!
+//! Row `i` of `Q`, `Q·Wlq` and `Q·Wrq` depends only on candidate `i`'s
+//! target entity and the weights (Eqs. 3–5), never on the query, the
+//! agent state or the graph's edges. So the raw path computes those rows
+//! once per entity into a table held by [`crate::MmkgrModel`], and an
+//! action set's [`PreparedX`] is a gather of its targets' rows. Every
+//! product sums over `k` in order from 0.0, so a row does not depend on
+//! which other rows it was computed with, and the gather is bit-identical
+//! to [`GateAttention::prepare_x`] over the action set.
 
 use mmkgr_nn::{Ctx, ParamId, Params};
 use mmkgr_tensor::init::xavier;
@@ -141,10 +150,10 @@ impl GateAttention {
     }
 
     /// Precompute every `X`-side projection of the raw forward. `X`
-    /// depends only on the candidate action set, not on the agent state
-    /// `y`, so beam search shares one [`PreparedX`] across all frontier
-    /// beams standing at the same entity — the dominant saving of the
-    /// grouped policy forward.
+    /// depends only on the candidate targets, not on the agent state
+    /// `y`: [`crate::MmkgrModel`] runs this over blocks of entities to
+    /// build its per-entity table, and every frontier beam standing at
+    /// one entity shares the [`PreparedX`] gathered from it.
     pub fn prepare_x(&self, params: &Params, x: &Matrix) -> PreparedX {
         let q = x.matmul(params.value(self.wq));
         let q_lq = q.matmul(params.value(self.wlq));
@@ -245,7 +254,8 @@ impl GateAttention {
 
 /// The action-set-dependent projections of the raw gate forward (`Q` and
 /// its MLB images), shareable across every agent state standing at the
-/// same entity. Built by [`GateAttention::prepare_x`].
+/// same entity. Built by [`GateAttention::prepare_x`], or gathered row
+/// by row from the model's per-entity table of its output.
 pub struct PreparedX {
     pub q: Matrix,
     pub q_lq: Matrix,

@@ -40,8 +40,9 @@ pub trait RolloutPolicy {
     );
 
     /// Precompute whatever of the policy forward depends only on the
-    /// action set (for MMKGR: modal gathers/projections and the gate's
-    /// `X`-side). The beam engine memoizes the returned box per entity
+    /// action set (for MMKGR: the action embeddings and the gate's
+    /// `X`-side, gathered from the model's per-entity tables). The beam
+    /// engine memoizes the returned box per entity
     /// for the lifetime of one query and passes it back into
     /// [`Self::action_probs_group_prepared`] — an entity revisited at a
     /// later step pays the action-dependent work only once. Policies

@@ -15,9 +15,10 @@ use mmkgr_tensor::init::{seeded_rng, xavier};
 use mmkgr_tensor::{softmax_slice, Matrix, Var};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::config::{HistoryEncoder, MmkgrConfig};
-use crate::fusion::GateAttention;
+use crate::fusion::{GateAttention, PreparedX};
 
 /// The path-history encoder of Eq. (1), parameterized by
 /// [`HistoryEncoder`]. All cells share the `(h, c)` state signature; GRU
@@ -94,8 +95,13 @@ impl HistoryCell {
 
 #[derive(Serialize, Deserialize)]
 pub struct MmkgrModel {
+    /// Hyper-parameters. Read-only once [`MmkgrModel::new`] returns: the
+    /// per-entity `X` table is built from the modality switches here and
+    /// is not rebuilt if they change.
     pub cfg: MmkgrConfig,
-    pub params: Params,
+    /// Read through [`MmkgrModel::params`]; written only through
+    /// [`MmkgrModel::params_mut`], which drops the `X` table.
+    params: Params,
     /// Structural entity embeddings (TransE-initialized, Eq. 1 context).
     pub ent: Embedding,
     /// Structural relation embeddings over the full relation space.
@@ -114,6 +120,14 @@ pub struct MmkgrModel {
     texts: Matrix,
     /// Per-entity mean image features (`N×d_i`).
     images: Matrix,
+    /// One row `[q | q·W_lq | q·W_rq]` per entity (`N × (d + 2j)`): the
+    /// gate's `X`-side projections of that entity as an action target.
+    /// Built on the first raw forward ([`MmkgrModel::raw_prepare_actions`])
+    /// and dropped by [`MmkgrModel::params_mut`]. Holds `None` when every
+    /// modality is ablated (OSKGR). Never serialized, so checkpoints keep
+    /// their bytes.
+    #[serde(skip)]
+    x_table: OnceLock<Option<Matrix>>,
 }
 
 impl MmkgrModel {
@@ -163,7 +177,20 @@ impl MmkgrModel {
             w2,
             texts: kg.modal.texts().clone(),
             images: kg.modal.mean_images().clone(),
+            x_table: OnceLock::new(),
         }
+    }
+
+    /// The parameter arena.
+    pub fn params(&self) -> &Params {
+        &self.params
+    }
+
+    /// Mutable parameters, for training. Drops the per-entity `X` table,
+    /// so the next raw forward rebuilds it from the new weights.
+    pub fn params_mut(&mut self) -> &mut Params {
+        self.x_table.take();
+        &mut self.params
     }
 
     // ======================= tape path (training) =======================
@@ -455,11 +482,10 @@ impl MmkgrModel {
 
     /// Raw policy probabilities over `actions` for one state.
     ///
-    /// Beam search calls this width×steps times per query, so the
-    /// `targets` index list and the `y` row reuse thread-local scratch
-    /// (mirroring PR 1's `prepare_score_buffer` fix) instead of
-    /// allocating per call — `&self` stays shared, so reasoners remain
-    /// `Sync` without interior locking.
+    /// Beam search calls this width×steps times per query, so the `y`
+    /// row and the gate's intermediates reuse thread-local scratch
+    /// instead of allocating per call — `&self` stays shared, so
+    /// reasoners remain `Sync` without interior locking.
     pub fn raw_state_probs(
         &self,
         source: EntityId,
@@ -472,36 +498,74 @@ impl MmkgrModel {
         self.raw_state_probs_group_prepared(source, h, 1, rq, actions, &prep, out)
     }
 
-    /// Precompute the action-set-dependent half of the raw policy
-    /// forward: modal gathers/projections and the gate's `X`-side
-    /// ([`crate::fusion::PreparedX`]). Everything in here is a pure
-    /// function of `actions` and the (frozen-at-inference) parameters,
-    /// so the beam engine memoizes it per entity for a whole query.
+    /// The action-set-dependent half of the raw policy forward: the
+    /// per-action `[r_emb; e_emb]` rows and the gate's `X`-side
+    /// ([`PreparedX`]), both gathered row by row — the latter from the
+    /// model's per-entity `X` table, built here on first use. A pure
+    /// function of `actions` and the parameters, so the beam engine
+    /// computes it once per entity for a whole query.
     pub fn raw_prepare_actions(&self, actions: &[Edge]) -> PreparedActions {
-        thread_local! {
-            static TARGETS: std::cell::RefCell<Vec<usize>> =
-                const { std::cell::RefCell::new(Vec::new()) };
+        let ds = self.cfg.struct_dim;
+        let rel_t = self.params.value(self.rel.table);
+        let ent_t = self.params.value(self.ent.table);
+        let mut a_emb = Matrix::zeros(actions.len(), 2 * ds);
+        for (i, a) in actions.iter().enumerate() {
+            let row = a_emb.row_mut(i);
+            row[..ds].copy_from_slice(rel_t.row(a.relation.index()));
+            row[ds..].copy_from_slice(ent_t.row(a.target.index()));
         }
-        TARGETS.with(|t| {
-            let targets = &mut *t.borrow_mut();
+        let px = self
+            .x_table
+            .get_or_init(|| self.build_x_table())
+            .as_ref()
+            .map(|table| {
+                let (d, j) = (self.gate.d, self.gate.j);
+                let m = actions.len();
+                let mut px = PreparedX {
+                    q: Matrix::zeros(m, d),
+                    q_lq: Matrix::zeros(m, j),
+                    q_rq: Matrix::zeros(m, j),
+                };
+                for (i, a) in actions.iter().enumerate() {
+                    let row = table.row(a.target.index());
+                    px.q.row_mut(i).copy_from_slice(&row[..d]);
+                    px.q_lq.row_mut(i).copy_from_slice(&row[d..d + j]);
+                    px.q_rq.row_mut(i).copy_from_slice(&row[d + j..]);
+                }
+                px
+            });
+        PreparedActions { px, a_emb }
+    }
+
+    /// The per-entity `X` table: [`Self::raw_modal_x`] and
+    /// [`GateAttention::prepare_x`] over every entity, 64 rows at a time,
+    /// so the only transient is one small block. The product kernel
+    /// computes each output row from its own input row alone, so every
+    /// row equals, bit for bit, the one those two compute over any action
+    /// set. `None` with no modality (OSKGR).
+    fn build_x_table(&self) -> Option<Matrix> {
+        const BLOCK: usize = 64;
+        if !(self.cfg.use_text || self.cfg.use_image) {
+            return None;
+        }
+        let n = self.params.value(self.ent.table).rows();
+        let (d, j) = (self.gate.d, self.gate.j);
+        let mut table = Matrix::zeros(n, d + 2 * j);
+        let mut targets = Vec::with_capacity(BLOCK);
+        for start in (0..n).step_by(BLOCK) {
             targets.clear();
-            targets.extend(actions.iter().map(|e| e.target.index()));
-            let ds = self.cfg.struct_dim;
-            let rel_t = self.params.value(self.rel.table);
-            let ent_t = self.params.value(self.ent.table);
-            let mut a_emb = Matrix::zeros(actions.len(), 2 * ds);
-            for (i, a) in actions.iter().enumerate() {
-                let row = a_emb.row_mut(i);
-                row[..ds].copy_from_slice(rel_t.row(a.relation.index()));
-                row[ds..].copy_from_slice(ent_t.row(a.target.index()));
+            targets.extend(start..n.min(start + BLOCK));
+            let px = self
+                .gate
+                .prepare_x(&self.params, &self.raw_modal_x(&targets)?);
+            for (i, &e) in targets.iter().enumerate() {
+                let row = table.row_mut(e);
+                row[..d].copy_from_slice(px.q.row(i));
+                row[d..d + j].copy_from_slice(px.q_lq.row(i));
+                row[d + j..].copy_from_slice(px.q_rq.row(i));
             }
-            PreparedActions {
-                px: self
-                    .raw_modal_x(targets)
-                    .map(|x| self.gate.prepare_x(&self.params, &x)),
-                a_emb,
-            }
-        })
+        }
+        Some(table)
     }
 
     /// Grouped raw policy forward: probabilities for `states` agent
@@ -640,10 +704,12 @@ impl MmkgrModel {
     }
 }
 
-/// Memoizable action-set context for the raw policy forward (see
-/// [`MmkgrModel::raw_prepare_actions`]).
+/// Action-set context for the raw policy forward, gathered from the
+/// model's tables (see [`MmkgrModel::raw_prepare_actions`]).
 pub struct PreparedActions {
-    px: Option<crate::fusion::PreparedX>,
+    /// The gate's `X`-side rows, gathered from the per-entity `X` table;
+    /// `None` with no modality (OSKGR).
+    px: Option<PreparedX>,
     /// Per-action `[r_emb; e_emb]` rows (`m × 2·struct_dim`), gathered
     /// once so the per-state scoring loop reads contiguous memory.
     a_emb: Matrix,
@@ -878,6 +944,94 @@ mod tests {
         model.raw_state_probs(EntityId(0), &h, RelationId(0), &actions, &mut a);
         restored.raw_state_probs(EntityId(0), &h, RelationId(0), &actions, &mut b);
         assert_eq!(a, b, "restored model must be behaviourally identical");
+    }
+
+    /// `m` actions spread over every entity and relation of `kg`.
+    fn spread_actions(kg: &mmkgr_kg::MultiModalKG, m: usize) -> Vec<Edge> {
+        let (n, r) = (kg.num_entities(), kg.graph.relations().total());
+        (0..m)
+            .map(|k| Edge {
+                relation: RelationId((k * 5 % r) as u32),
+                target: EntityId(((k * 131 + 17) % n) as u32),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn x_table_rows_match_the_per_action_set_projections() {
+        // 600 entities span ten 64-row build blocks, the last one partial.
+        let kg = generate(&GenConfig {
+            entities: 600,
+            ..GenConfig::tiny()
+        });
+        for variant in [
+            Variant::Full,
+            Variant::Stkgr,
+            Variant::Sikgr,
+            Variant::Oskgr,
+        ] {
+            let model = MmkgrModel::new(&kg, MmkgrConfig::quick().variant(variant), None);
+            let ds = model.cfg.struct_dim;
+            let hs: Vec<f32> = (0..3 * ds).map(|i| (i as f32 * 0.37).sin()).collect();
+            for m in [1, 7, 40, 48] {
+                let actions = spread_actions(&kg, m);
+                let targets: Vec<usize> = actions.iter().map(|e| e.target.index()).collect();
+                let gathered = model.raw_prepare_actions(&actions);
+                let computed = PreparedActions {
+                    px: model
+                        .raw_modal_x(&targets)
+                        .map(|x| model.gate.prepare_x(&model.params, &x)),
+                    a_emb: gathered.a_emb.clone(),
+                };
+                assert_eq!(gathered.px.is_some(), variant != Variant::Oskgr);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for (prep, out) in [(&gathered, &mut got), (&computed, &mut want)] {
+                    model.raw_state_probs_group_prepared(
+                        EntityId(3),
+                        &hs,
+                        3,
+                        RelationId(1),
+                        &actions,
+                        prep,
+                        out,
+                    );
+                }
+                assert_eq!(got.len(), 3 * m);
+                for (a, b) in got.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{variant:?}, m = {m}: {a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn params_mut_drops_the_x_table() {
+        let (kg, mut model) = tiny_model(Variant::Full);
+        let actions = sample_actions(&kg);
+        let h = vec![0.2f32; model.cfg.struct_dim];
+        let forward = |model: &MmkgrModel| {
+            let mut p = Vec::new();
+            model.raw_state_probs(EntityId(0), &h, RelationId(0), &actions, &mut p);
+            p
+        };
+        let before = forward(&model);
+        let wq = model.gate.wq;
+        model
+            .params_mut()
+            .value_mut(wq)
+            .map_inplace(|v| v * 1.5 + 0.01);
+        let after = forward(&model);
+        assert_ne!(before, after, "the weight change must reach the policy");
+
+        let json = model.to_json();
+        assert!(!json.contains("x_table"), "the X table is not checkpointed");
+        let fresh = MmkgrModel::from_json(&json).unwrap();
+        let want = forward(&fresh);
+        assert_eq!(
+            after.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "the table must be rebuilt from the new weights"
+        );
     }
 
     #[test]

@@ -192,7 +192,7 @@ impl<S: TripleScorer> Trainer<S> {
             .map(|(q, _)| RolloutState::new(*q, no_op))
             .collect();
         {
-            let ctx = Ctx::new(&tape, &self.model.params);
+            let ctx = Ctx::new(&tape, self.model.params());
             let src_idx: Vec<usize> = batch.iter().map(|(q, _)| q.source.index()).collect();
             let rq_idx: Vec<usize> = batch.iter().map(|(q, _)| q.relation.index()).collect();
             let es_all = tape.gather_rows(ctx.p(self.model.ent.table), &src_idx);
@@ -239,11 +239,12 @@ impl<S: TripleScorer> Trainer<S> {
             }
             let loss = tape.scale(loss.expect("non-empty batch"), 1.0 / b as f32);
             let grads = tape.backward(loss);
-            ctx.into_leases().accumulate(&mut self.model.params, &grads);
+            ctx.into_leases()
+                .accumulate(self.model.params_mut(), &grads);
         }
-        clip_grad_norm(&mut self.model.params, 5.0);
-        self.opt.step(&mut self.model.params);
-        self.model.params.zero_grads();
+        clip_grad_norm(self.model.params_mut(), 5.0);
+        self.opt.step(self.model.params_mut());
+        self.model.params_mut().zero_grads();
     }
 
     /// Train on the dataset's train split. `valid_sample` (if nonzero)
@@ -329,7 +330,7 @@ impl<S: TripleScorer> Trainer<S> {
             batch.iter().map(|&q| RolloutState::new(q, no_op)).collect();
 
         let leases = {
-            let ctx = Ctx::new(&tape, &self.model.params);
+            let ctx = Ctx::new(&tape, self.model.params());
             // Per-query constant embeddings (source entity, query relation).
             let src_idx: Vec<usize> = batch.iter().map(|q| q.source.index()).collect();
             let rq_idx: Vec<usize> = batch.iter().map(|q| q.relation.index()).collect();
@@ -429,7 +430,7 @@ impl<S: TripleScorer> Trainer<S> {
             let loss_value = tape.scalar(loss);
             let grads = tape.backward(loss);
             let leases = ctx.into_leases();
-            leases.accumulate(&mut self.model.params, &grads);
+            leases.accumulate(self.model.params_mut(), &grads);
 
             // moving-average baseline update
             let d = cfg.baseline_decay;
@@ -439,9 +440,9 @@ impl<S: TripleScorer> Trainer<S> {
         };
         let (_, loss_value, mean_reward, successes) = leases;
 
-        clip_grad_norm(&mut self.model.params, 5.0);
-        self.opt.step(&mut self.model.params);
-        self.model.params.zero_grads();
+        clip_grad_norm(self.model.params_mut(), 5.0);
+        self.opt.step(self.model.params_mut());
+        self.model.params_mut().zero_grads();
 
         BatchStats {
             loss: loss_value,

@@ -36,6 +36,6 @@ pub use serving::{
 };
 pub use snapshot::{
     load_registry_snapshot, load_registry_snapshot_live, rewrite_registry_snapshot,
-    write_registry_snapshot, write_registry_snapshot_with_vocab, LoadedRegistry,
+    write_registry_snapshot, write_registry_snapshot_with_vocab, LoadedRegistry, ServeOverride,
     SnapshotBuildError,
 };

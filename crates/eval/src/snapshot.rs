@@ -497,16 +497,38 @@ fn open_registry(path: &Path) -> Result<OpenedRegistry, SnapshotBuildError> {
     })
 }
 
+/// Serving settings that replace their own fields of a snapshot's
+/// recorded [`ServeConfig`] at boot; a `None` field keeps the recorded
+/// value.
+#[derive(Copy, Clone, Debug)]
+pub struct ServeOverride {
+    pub beam_width: Option<usize>,
+    pub max_steps: Option<usize>,
+    pub cache_capacity: Option<usize>,
+}
+
+impl ServeOverride {
+    /// `recorded` with every set field replaced.
+    pub fn apply(self, recorded: ServeConfig) -> ServeConfig {
+        ServeConfig {
+            beam_width: self.beam_width.unwrap_or(recorded.beam_width),
+            max_steps: self.max_steps.unwrap_or(recorded.max_steps),
+            cache_capacity: self.cache_capacity.unwrap_or(recorded.cache_capacity),
+        }
+    }
+}
+
 /// Shared tail of both boot paths: decode every model over `handle`,
 /// attach the retriever, assemble the [`LoadedRegistry`].
 fn finish_boot(
     opened: OpenedRegistry,
     graph: Arc<KnowledgeGraph>,
     handle: GraphHandle,
-    serve_override: Option<ServeConfig>,
+    serve_override: Option<ServeOverride>,
     shards: usize,
 ) -> Result<LoadedRegistry, SnapshotBuildError> {
-    let serve = serve_override.unwrap_or(opened.manifest.serve);
+    let recorded = opened.manifest.serve;
+    let serve = serve_override.map_or(recorded, |o| o.apply(recorded));
     let mut registry = ModelRegistry::new(opened.names);
     for entry in &opened.manifest.models {
         registry.register(decode_model(
@@ -542,12 +564,13 @@ fn finish_boot(
 /// the graph is mmap-loaded and each model's weights are restored from
 /// their sections, so boot time is file-open + parameter copy.
 ///
-/// `serve_override` replaces the snapshot's recorded [`ServeConfig`];
+/// `serve_override` replaces its set fields of the snapshot's recorded
+/// [`ServeConfig`];
 /// `shards > 1` splits each KGE scorer's entity range across a
 /// [`ShardedReasoner`]. Path models are served unsharded.
 pub fn load_registry_snapshot(
     path: &Path,
-    serve_override: Option<ServeConfig>,
+    serve_override: Option<ServeOverride>,
     shards: usize,
 ) -> Result<LoadedRegistry, SnapshotBuildError> {
     let opened = open_registry(path)?;
@@ -570,7 +593,7 @@ pub fn load_registry_snapshot(
 /// hook here, is a no-op) — fine for tests, not for long-lived servers.
 pub fn load_registry_snapshot_live(
     path: &Path,
-    serve_override: Option<ServeConfig>,
+    serve_override: Option<ServeOverride>,
     shards: usize,
     wal_path: &Path,
     compact_every: u64,

@@ -39,6 +39,7 @@ use mmkgr::embed::{ConvE, KgeTrainConfig, TransE};
 use mmkgr::eval::{
     build_registry, eval_policy_entity, load_registry_snapshot, load_registry_snapshot_live, pct,
     write_registry_snapshot_with_vocab, Dataset, Harness, HarnessConfig, ModelChoice, ScaleChoice,
+    ServeOverride,
 };
 use mmkgr::kg::io::{read_triples, write_triples, Vocab};
 use mmkgr::kg::{KnowledgeGraph, ModalBank, MultiModalKG, Split};
@@ -88,7 +89,9 @@ COMMANDS
                                        shard_latency=*:200,shard_panic=1
              [--snapshot <file.mmkg>]  boot from a registry snapshot
                                        instead of training (no dataset
-                                       flags needed)
+                                       flags needed); --beam, --steps
+                                       and --cache each override only
+                                       their own recorded setting
              [--shards <n>]            split each KGE scorer's entity
                                        range across n shards; path
                                        models are served unsharded
@@ -753,6 +756,27 @@ fn serve_config_flags(
     Ok(cfg)
 }
 
+/// `--beam`/`--steps`/`--cache` on a snapshot boot: each flag given
+/// replaces only its own field of the snapshot's recorded ServeConfig.
+fn serve_override_flags(flags: &HashMap<String, String>) -> Result<ServeOverride, String> {
+    let field = |name: &str| {
+        flags
+            .get(name)
+            .map(|_| parse_or(flags, name, 0))
+            .transpose()
+    };
+    let o = ServeOverride {
+        beam_width: field("beam")?,
+        max_steps: field("steps")?,
+        cache_capacity: field("cache")?,
+    };
+    // The defaults are valid, so this rejects exactly a zero flag.
+    o.apply(ServeConfig::default())
+        .validate()
+        .map_err(|e| format!("config: {e}"))?;
+    Ok(o)
+}
+
 /// Bind the HTTP front end and serve until killed. `--port 0` binds an
 /// ephemeral port; the `listening on` line (flushed before serving)
 /// tells scripts where.
@@ -833,19 +857,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         return cmd_serve_follower(flags, primary);
     }
     if let Some(snap) = flag(flags, "snapshot") {
-        // Snapshot boot: no training, no dataset regeneration. Serving
-        // overrides apply only when explicitly flagged — otherwise the
-        // snapshot's recorded ServeConfig wins, keeping answers
-        // byte-identical to the writing process.
+        // Snapshot boot: no training, no dataset regeneration. Each of
+        // `--beam`/`--steps`/`--cache` overrides only its own field;
+        // every unflagged field keeps the snapshot's recorded value, so
+        // answers stay byte-identical to the writing process.
         let shards: usize = parse_or(flags, "shards", 1)?;
-        let overridden = ["beam", "steps", "cache"]
-            .iter()
-            .any(|f| flags.contains_key(*f));
-        let serve_override = if overridden {
-            Some(serve_config_flags(flags, 16)?)
-        } else {
-            None
-        };
+        let serve_override = Some(serve_override_flags(flags)?);
         let live = flags.contains_key("live") || flags.contains_key("wal");
         let loaded = if live {
             let wal = flag(flags, "wal")
@@ -935,14 +952,7 @@ fn cmd_serve_follower(flags: &HashMap<String, String>, primary: &str) -> Result<
         .unwrap_or_else(|| PathBuf::from(format!("{snap}.wal")));
     let compact_every: u64 = parse_or(flags, "compact-every", 256)?;
     let shards: usize = parse_or(flags, "shards", 1)?;
-    let overridden = ["beam", "steps", "cache"]
-        .iter()
-        .any(|f| flags.contains_key(*f));
-    let serve_override = if overridden {
-        Some(serve_config_flags(flags, 16)?)
-    } else {
-        None
-    };
+    let serve_override = Some(serve_override_flags(flags)?);
 
     // A restarted follower already has a snapshot + WAL: reuse them and
     // let the tail catch up from the last applied seq instead of
@@ -1364,6 +1374,39 @@ mod tests {
         assert!(parse_variant("nope").is_err());
         assert_eq!(parse_history("GRU").unwrap(), HistoryEncoder::Gru);
         assert!(parse_history("transformer").is_err());
+    }
+
+    #[test]
+    fn snapshot_serve_flags_override_only_their_own_field() {
+        let flags = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            parse_flags(&args).unwrap()
+        };
+        let recorded = ServeConfig {
+            beam_width: 8,
+            max_steps: 3,
+            cache_capacity: 64,
+        };
+        let boot = |args: &[&str]| serve_override_flags(&flags(args)).unwrap().apply(recorded);
+        assert_eq!(boot(&[]), recorded);
+        assert_eq!(boot(&["--shards", "4"]), recorded);
+        assert_eq!(
+            boot(&["--cache", "1024"]),
+            ServeConfig {
+                cache_capacity: 1024,
+                ..recorded
+            }
+        );
+        assert_eq!(
+            boot(&["--beam", "16", "--steps", "5"]),
+            ServeConfig {
+                beam_width: 16,
+                max_steps: 5,
+                ..recorded
+            }
+        );
+        assert!(serve_override_flags(&flags(&["--beam", "0"])).is_err());
+        assert!(serve_override_flags(&flags(&["--steps", "x"])).is_err());
     }
 
     #[test]
