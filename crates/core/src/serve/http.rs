@@ -159,8 +159,8 @@ struct RouteCounter {
     latency_ns: AtomicU64,
 }
 
-/// Per-server robustness counters (the process-global shard/worker
-/// supervision counters live in [`faults`]).
+/// Per-server robustness counters; every robustness field of
+/// `/metrics` comes from here.
 #[derive(Default)]
 struct RobustCounters {
     shed: AtomicU64,
@@ -266,8 +266,6 @@ impl Shared {
                 shed: self.robust.shed.load(Ordering::Relaxed),
                 deadline_exceeded: self.robust.deadline_exceeded.load(Ordering::Relaxed),
                 degraded_answers: self.robust.degraded_answers.load(Ordering::Relaxed),
-                shard_retries: faults::SHARD_RETRIES.load(Ordering::Relaxed),
-                worker_respawns: faults::WORKER_RESPAWNS.load(Ordering::Relaxed),
                 request_timeouts: self.robust.request_timeouts.load(Ordering::Relaxed),
             },
             retrieve: RetrieveMetrics {
@@ -741,8 +739,8 @@ fn parse_body<T: serde::Deserialize>(body: &str) -> Result<T, ApiError> {
     })
 }
 
-/// Route and execute one request. Handler panics (a reasoner bug, a
-/// poisoned pool) become 500s instead of killing the connection thread.
+/// Route and execute one request. Handler panics (a reasoner bug)
+/// become 500s instead of killing the connection thread.
 fn dispatch(req: &HttpRequest, shared: &Shared) -> (Route, ApiResponse) {
     // Health checks and probes often append cache-busting query params;
     // routing only looks at the path component.
@@ -886,7 +884,7 @@ fn execute(route: Route, body: &str, shared: &Shared) -> Result<ApiResponse, Api
     })
 }
 
-// ----------------------------------------------------------- test client
+// ---------------------------------------------------------------- client
 
 /// Minimal blocking HTTP/1.1 client for tests, benches, and examples:
 /// one request per connection (matching the server's `Connection:
@@ -928,44 +926,74 @@ pub fn request_with_retries(
     body: &str,
     max_retries: u32,
 ) -> std::io::Result<(u16, String)> {
-    let (mut status, mut head, mut resp_body) = request_once(addr, method, path, body)?;
-    for _ in 0..max_retries {
-        if status != 503 {
-            break;
-        }
-        let Some(secs) = retry_after_secs(&head) else {
-            break;
-        };
-        let jitter_ms = u64::from(
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map(|d| d.subsec_nanos())
-                .unwrap_or(0),
-        ) % 250;
-        std::thread::sleep(Duration::from_secs(secs.min(5)) + Duration::from_millis(jitter_ms));
-        (status, head, resp_body) = request_once(addr, method, path, body)?;
-    }
-    Ok((status, resp_body))
+    let resp = send(addr, method, path, body, max_retries)?;
+    let status = resp.status;
+    let body = resp.into_body()?;
+    Ok((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
-/// Parse the whole-seconds `Retry-After` value out of a response head.
-pub(crate) fn retry_after_secs(head: &str) -> Option<u64> {
+/// A response whose head has been read. The body follows on `stream`,
+/// after the `body_prefix` bytes that arrived in the same reads as the
+/// head.
+pub(crate) struct ResponseHead {
+    pub(crate) status: u16,
+    pub(crate) head: String,
+    pub(crate) body_prefix: Vec<u8>,
+    pub(crate) stream: TcpStream,
+}
+
+/// Case-insensitive lookup of one header's value in a response head.
+pub(crate) fn header_value<'a>(head: &'a str, name: &str) -> Option<&'a str> {
     head.lines().find_map(|line| {
         let (k, v) = line.split_once(':')?;
-        if k.trim().eq_ignore_ascii_case("retry-after") {
-            v.trim().parse().ok()
-        } else {
-            None
-        }
+        k.trim().eq_ignore_ascii_case(name).then(|| v.trim())
     })
 }
 
-fn request_once(
-    addr: SocketAddr,
+impl ResponseHead {
+    /// The whole body: the server closes the connection after it, so it
+    /// runs to EOF.
+    pub(crate) fn into_body(mut self) -> std::io::Result<Vec<u8>> {
+        self.stream.read_to_end(&mut self.body_prefix)?;
+        Ok(self.body_prefix)
+    }
+}
+
+/// Send one request and read the response head, re-sending a 503 that
+/// carries `Retry-After` up to `max_retries` times (see
+/// [`request_with_retries`] for the backoff). The one HTTP client in the
+/// workspace: [`request`] reads the body to EOF, and the replication
+/// follower streams it.
+pub(crate) fn send<A: ToSocketAddrs + std::fmt::Display>(
+    addr: A,
     method: &str,
     path: &str,
     body: &str,
-) -> std::io::Result<(u16, String, String)> {
+    max_retries: u32,
+) -> std::io::Result<ResponseHead> {
+    let mut resp = send_once(&addr, method, path, body)?;
+    for _ in 0..max_retries {
+        if resp.status != 503 {
+            break;
+        }
+        let Some(secs) =
+            header_value(&resp.head, "retry-after").and_then(|v| v.parse::<u64>().ok())
+        else {
+            break;
+        };
+        drop(resp);
+        std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
+        resp = send_once(&addr, method, path, body)?;
+    }
+    Ok(resp)
+}
+
+fn send_once<A: ToSocketAddrs + std::fmt::Display>(
+    addr: &A,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> std::io::Result<ResponseHead> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
     let head = format!(
@@ -977,18 +1005,36 @@ fn request_once(
     // (e.g. a 413); keep going and read whatever response made it out.
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8_lossy(&raw);
-    let mut parts = text.splitn(2, "\r\n\r\n");
-    let head = parts.next().unwrap_or_default().to_string();
-    let body = parts.next().unwrap_or_default().to_string();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        if buf.len() > 64 << 10 {
+            return Err(std::io::Error::other("response head exceeds 64 KiB"));
+        }
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed inside the response head",
+            ));
+        }
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
     let status: u16 = head
         .split(' ')
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, head, body))
+    Ok(ResponseHead {
+        status,
+        head,
+        body_prefix: buf[head_end + 4..].to_vec(),
+        stream,
+    })
 }
 
 #[cfg(test)]
@@ -1028,6 +1074,14 @@ mod tests {
         )
         .expect("bind ephemeral port");
         (kg, server.spawn())
+    }
+
+    #[test]
+    fn header_lookup_is_case_insensitive() {
+        let head = "HTTP/1.1 200 OK\r\nContent-Length: 42\r\nX-Mmkgr-Head-Seq: 7";
+        assert_eq!(header_value(head, "content-length"), Some("42"));
+        assert_eq!(header_value(head, "x-mmkgr-head-seq"), Some("7"));
+        assert_eq!(header_value(head, "retry-after"), None);
     }
 
     #[test]

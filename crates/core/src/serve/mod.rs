@@ -89,7 +89,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::Duration;
 
 use mmkgr_embed::TripleScorer;
 use mmkgr_kg::{EntityId, GraphHandle, KnowledgeGraph, RelationId, RelationSpace};
@@ -240,12 +239,12 @@ impl Budget {
         Ok(out)
     }
 
-    /// Clamp a wait to the remaining budget (unlimited budgets return
-    /// the wait unchanged).
-    pub fn clamp(&self, wait: std::time::Duration) -> std::time::Duration {
+    /// Wait for the next message on `rx` until the deadline. `None`
+    /// means the deadline passed first (or every sender is gone).
+    pub(crate) fn recv<T>(&self, rx: &mpsc::Receiver<T>) -> Option<T> {
         match self.remaining() {
-            Some(left) => wait.min(left),
-            None => wait,
+            None => rx.recv().ok(),
+            Some(left) => rx.recv_timeout(left).ok(),
         }
     }
 }
@@ -311,7 +310,7 @@ pub enum Coverage {
 /// entity ranges but blind to the failed ones.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Degraded {
-    /// Indices of the shards that failed (after retry).
+    /// Indices of the shards whose scoring failed.
     pub shards_failed: Vec<usize>,
     /// Total shards in the fan-out.
     pub shards_total: usize,
@@ -480,7 +479,7 @@ pub trait KgReasoner {
     /// The default implementation checks the budget *around* an
     /// uninterruptible [`Self::answer`] call — enough for reasoners
     /// whose single-query latency is small against any sane deadline.
-    /// Supervised backends ([`ShardedReasoner`]) override this to bound
+    /// Fan-out backends ([`ShardedReasoner`]) override this to bound
     /// their internal waits by the remaining budget and to degrade
     /// rather than hang. Returns [`ApiError::DeadlineExceeded`] when the
     /// budget ran out (even if an answer was computed late — a deadline
@@ -1123,14 +1122,13 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// Results come back in query order and are identical to calling
 /// [`KgReasoner::answer`] sequentially (each query is answered
-/// independently; candidate order is fully deterministic). Dropping the
+/// independently; candidate order is fully deterministic). Every query
+/// runs under its own unwind guard, so a reasoner panic fails its batch
+/// with [`ApiError::Internal`] and leaves the worker alive. Dropping the
 /// pool closes the channel and joins the workers.
 pub struct WorkerPool {
-    reasoner: Arc<dyn KgReasoner + Send + Sync>,
     tx: Option<mpsc::Sender<BatchJob>>,
-    rx: Arc<Mutex<mpsc::Receiver<BatchJob>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    workers: usize,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 fn spawn_pool_worker(
@@ -1143,11 +1141,6 @@ fn spawn_pool_worker(
             Ok(job) => job,
             Err(_) => return, // pool dropped
         };
-        // Chaos hook, deliberately *outside* the per-query catch_unwind:
-        // a fired fault kills this thread and exercises the respawn
-        // supervision in `ensure_workers`. No query index has been
-        // claimed yet, so the batch loses capacity but never answers.
-        faults::on_worker_job();
         let total = job.queries.len();
         let mut local: Vec<(usize, Answer)> = Vec::new();
         loop {
@@ -1195,46 +1188,14 @@ impl WorkerPool {
             .map(|_| spawn_pool_worker(Arc::clone(&reasoner), Arc::clone(&rx)))
             .collect();
         WorkerPool {
-            reasoner,
             tx: Some(tx),
-            rx,
-            handles: Mutex::new(handles),
-            workers,
+            handles,
         }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Respawn supervision: replace any worker thread that died (a panic
-    /// that escaped the per-query guard — e.g. an injected chaos fault).
-    /// Returns how many workers were respawned; each bumps the global
-    /// [`faults::WORKER_RESPAWNS`] counter.
-    fn ensure_workers(&self) -> usize {
-        let mut handles = self.handles.lock().unwrap();
-        let mut respawned = 0;
-        for h in handles.iter_mut() {
-            if h.is_finished() {
-                let fresh = spawn_pool_worker(Arc::clone(&self.reasoner), Arc::clone(&self.rx));
-                let _ = std::mem::replace(h, fresh).join();
-                respawned += 1;
-            }
-        }
-        if respawned > 0 {
-            faults::WORKER_RESPAWNS.fetch_add(respawned as u64, Ordering::Relaxed);
-        }
-        respawned
-    }
-
-    /// Hand every (live) worker a handle to the job; late receivers see
-    /// an exhausted cursor and move on.
-    fn submit(&self, job: &BatchJob) {
-        let tx = self.tx.as_ref().expect("pool channel open while alive");
-        for _ in 0..self.workers {
-            tx.send(job.clone()).expect("pool receiver alive");
-        }
+        self.handles.len()
     }
 
     /// Answer a batch on the pool; blocks until every query is answered.
@@ -1250,11 +1211,10 @@ impl WorkerPool {
         }
     }
 
-    /// Answer a batch within a wall-clock [`Budget`], under supervision:
-    /// dead workers are respawned (and the job re-offered) mid-wait, a
-    /// reasoner panic surfaces as a typed [`ApiError::Internal`], and an
-    /// exhausted budget returns [`ApiError::DeadlineExceeded`] — workers
-    /// still finishing the abandoned batch discard their results.
+    /// Answer a batch within a wall-clock [`Budget`]: a reasoner panic
+    /// surfaces as a typed [`ApiError::Internal`], and an exhausted
+    /// budget returns [`ApiError::DeadlineExceeded`] — workers still
+    /// finishing the abandoned batch discard their results.
     pub fn answer_batch_within(
         &self,
         queries: &[Query],
@@ -1263,7 +1223,6 @@ impl WorkerPool {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        self.ensure_workers();
         let (done_tx, done_rx) = mpsc::channel();
         let job = BatchJob {
             queries: Arc::new(queries.to_vec()),
@@ -1273,23 +1232,16 @@ impl WorkerPool {
             panicked: Arc::new(Mutex::new(None)),
             done_tx,
         };
-        self.submit(&job);
-        // Supervision wait: poll so that a worker killed *while holding
-        // this very job* (nothing left to signal `done`) still gets
-        // respawned and the job re-offered instead of hanging forever.
-        loop {
-            match done_rx.recv_timeout(budget.clamp(Duration::from_millis(50))) {
-                Ok(()) => break,
-                Err(mpsc::RecvTimeoutError::Timeout)
-                | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    if budget.expired() {
-                        return Err(budget.exceeded());
-                    }
-                    if self.ensure_workers() > 0 {
-                        self.submit(&job);
-                    }
-                }
-            }
+        // Hand every worker a handle to the job; late receivers see an
+        // exhausted cursor and move on.
+        let tx = self.tx.as_ref().expect("pool channel open while alive");
+        for _ in &self.handles {
+            tx.send(job.clone()).expect("pool receiver alive");
+        }
+        // `job` holds a sender, so only the deadline can end this wait
+        // without a `done` signal.
+        if budget.recv(&done_rx).is_none() {
+            return Err(budget.exceeded());
         }
         if let Some(msg) = job.panicked.lock().unwrap().take() {
             return Err(ApiError::Internal { detail: msg });
@@ -1307,7 +1259,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         self.tx.take(); // close the channel → workers exit their recv loop
-        for h in self.handles.lock().unwrap().drain(..) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
@@ -1611,6 +1563,45 @@ mod tests {
         let q = [Query::new(EntityId(0), RelationId(0))];
         let one = one_worker.answer_batch(&q);
         assert_eq!(one.len(), 1);
+    }
+
+    #[test]
+    fn a_reasoner_panic_fails_its_batch_and_the_pool_answers_the_next() {
+        // Ranks objects by id, and panics on one source.
+        struct PanicsOn(EntityId);
+        impl TripleScorer for PanicsOn {
+            fn score(&self, s: EntityId, _: RelationId, o: EntityId) -> f32 {
+                if s == self.0 {
+                    panic!("cannot score source {}", s.0);
+                }
+                o.0 as f32
+            }
+        }
+        let r: Arc<dyn KgReasoner + Send + Sync> = Arc::new(ScorerReasoner::new(
+            "PanicsOn",
+            PanicsOn(EntityId(3)),
+            12,
+            RelationSpace::new(2),
+        ));
+        let queries = |sources: &[u32]| -> Vec<Query> {
+            sources
+                .iter()
+                .map(|&s| Query::new(EntityId(s), RelationId(0)).with_top_k(4))
+                .collect()
+        };
+        let pool = WorkerPool::new(Arc::clone(&r), 2);
+        match pool.answer_batch_within(&queries(&[0, 3, 5]), Budget::none()) {
+            Err(ApiError::Internal { detail }) => {
+                assert!(detail.contains("cannot score source 3"), "{detail}")
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        }
+        let healthy = queries(&[0, 1, 5, 7, 11]);
+        let sequential: Vec<Answer> = healthy.iter().map(|q| r.answer(q)).collect();
+        assert_eq!(
+            pool.answer_batch_within(&healthy, Budget::none()).unwrap(),
+            sequential
+        );
     }
 
     #[test]

@@ -787,12 +787,6 @@ pub struct RobustnessMetrics {
     /// Answers served from surviving shards after shard failure.
     #[serde(default)]
     pub degraded_answers: u64,
-    /// Shard tasks retried after a failure or timeout.
-    #[serde(default)]
-    pub shard_retries: u64,
-    /// Pool workers respawned after a panic poisoned them.
-    #[serde(default)]
-    pub worker_respawns: u64,
     /// Connections dropped with 408 for stalling mid-request.
     #[serde(default)]
     pub request_timeouts: u64,

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use super::faults;
-use super::http::{retry_after_secs, write_response};
+use super::http::{header_value, send, write_response, ResponseHead};
 use super::protocol::{ApiError, ApiResponse, ReplicateRequest, ReplicationMetrics};
 use super::registry::ModelRegistry;
 use mmkgr_kg::store::wal;
@@ -451,58 +451,56 @@ pub fn is_snapshot_required(detail: &str) -> bool {
     detail.contains(SNAPSHOT_REQUIRED)
 }
 
-/// Fetch the primary's current `.mmkg` snapshot into `dest`. Binary
-/// bytes, so this cannot go through the text-only
-/// [`super::http::request`] client. 503 + `Retry-After` (the primary
+/// Fetch the primary's current `.mmkg` snapshot into `dest`, streaming
+/// the binary body straight to disk. 503 + `Retry-After` (the primary
 /// still warming up, or shedding) is honored for up to `max_retries`
 /// rounds — the long-bootstrap loop the bundled client's single retry
 /// was too impatient for. Returns the primary's committed head seq.
 pub fn fetch_snapshot(primary: &str, dest: &Path, max_retries: u32) -> io::Result<u64> {
-    let body = r#"{"mode": "snapshot"}"#;
-    let mut attempt = 0u32;
-    loop {
-        let (status, head, mut stream, prefix) = replicate_head(primary, body)?;
-        if status == 503 && attempt < max_retries {
-            if let Some(secs) = retry_after_secs(&head) {
-                attempt += 1;
-                drop(stream);
-                std::thread::sleep(Duration::from_secs(secs.min(5)) + faults::jitter(250));
-                continue;
-            }
-        }
-        if status != 200 {
-            let mut rest = prefix;
-            let _ = stream.read_to_end(&mut rest);
-            return Err(io::Error::other(format!(
-                "snapshot fetch: HTTP {status}: {}",
-                String::from_utf8_lossy(&rest)
-            )));
-        }
-        let content_length: u64 = header_value(&head, "content-length")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| io::Error::other("snapshot fetch: missing Content-Length"))?;
-        let head_seq: u64 = header_value(&head, &HEAD_SEQ_HEADER.to_ascii_lowercase())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        // Write via a sibling tmp so a failed fetch never leaves a
-        // half-snapshot where the boot path would find it.
-        let tmp = dest.with_extension("mmkg.fetch");
-        let mut out = File::create(&tmp)?;
-        out.write_all(&prefix)?;
-        // Connection: close — the body runs to EOF and is exactly
-        // Content-Length bytes; anything else is a torn transfer.
-        let got = prefix.len() as u64 + io::copy(&mut stream, &mut out)?;
-        if got != content_length {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(io::Error::other(format!(
-                "snapshot fetch: truncated body ({got} of {content_length} bytes)"
-            )));
-        }
-        out.sync_data()?;
-        drop(out);
-        std::fs::rename(&tmp, dest)?;
-        return Ok(head_seq);
+    let mut resp = send(
+        primary,
+        "POST",
+        "/v1/admin/replicate",
+        r#"{"mode": "snapshot"}"#,
+        max_retries,
+    )?;
+    if resp.status != 200 {
+        return Err(http_error("snapshot fetch", resp));
     }
+    let content_length: u64 = header_value(&resp.head, "content-length")
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| io::Error::other("snapshot fetch: missing Content-Length"))?;
+    let head_seq: u64 = header_value(&resp.head, HEAD_SEQ_HEADER)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    // Write via a sibling tmp so a failed fetch never leaves a
+    // half-snapshot where the boot path would find it.
+    let tmp = dest.with_extension("mmkg.fetch");
+    let mut out = File::create(&tmp)?;
+    out.write_all(&resp.body_prefix)?;
+    // Connection: close — the body runs to EOF and is exactly
+    // Content-Length bytes; anything else is a torn transfer.
+    let got = resp.body_prefix.len() as u64 + io::copy(&mut resp.stream, &mut out)?;
+    if got != content_length {
+        let _ = std::fs::remove_file(&tmp);
+        return Err(io::Error::other(format!(
+            "snapshot fetch: truncated body ({got} of {content_length} bytes)"
+        )));
+    }
+    out.sync_data()?;
+    drop(out);
+    std::fs::rename(&tmp, dest)?;
+    Ok(head_seq)
+}
+
+/// The error for a non-200 replication response, carrying its body.
+fn http_error(what: &str, resp: ResponseHead) -> io::Error {
+    let status = resp.status;
+    let body = resp.into_body().unwrap_or_default();
+    io::Error::other(format!(
+        "{what}: HTTP {status}: {}",
+        String::from_utf8_lossy(&body)
+    ))
 }
 
 /// A live tail session: frames decoded off the socket one at a time.
@@ -519,19 +517,15 @@ pub struct TailSession {
 /// when the primary has compacted past `from_seq`.
 pub fn connect_tail(primary: &str, from_seq: u64) -> io::Result<TailSession> {
     let body = format!(r#"{{"mode": "tail", "from_seq": {from_seq}}}"#);
-    let (status, head, mut stream, mut prefix) = replicate_head(primary, &body)?;
-    if status != 200 {
-        let _ = stream.read_to_end(&mut prefix);
-        return Err(io::Error::other(format!(
-            "tail connect: HTTP {status}: {}",
-            String::from_utf8_lossy(&prefix)
-        )));
+    let resp = send(primary, "POST", "/v1/admin/replicate", &body, 0)?;
+    if resp.status != 200 {
+        return Err(http_error("tail connect", resp));
     }
-    let head_seq: u64 = header_value(&head, &HEAD_SEQ_HEADER.to_ascii_lowercase())
+    let head_seq: u64 = header_value(&resp.head, HEAD_SEQ_HEADER)
         .and_then(|v| v.parse().ok())
         .unwrap_or(from_seq);
     // The stream opens with the standard WAL preamble.
-    let mut buf = prefix;
+    let (mut buf, mut stream) = (resp.body_prefix, resp.stream);
     let mut chunk = [0u8; 4096];
     while buf.len() < wal::HEADER_LEN as usize {
         let n = stream.read(&mut chunk)?;
@@ -651,55 +645,6 @@ pub fn run_tailer(registry: Arc<ModelRegistry>, rep: Arc<ReplicationState>) {
         std::thread::sleep(Duration::from_millis(backoff_ms) + faults::jitter(backoff_ms));
         backoff_ms = (backoff_ms * 2).min(5_000);
     }
-}
-
-// --------------------------------------------------------- raw client IO
-
-/// POST `/v1/admin/replicate` and read just the response head. Returns
-/// `(status, head, stream, body_prefix)` — the prefix is whatever body
-/// bytes arrived in the same reads as the head.
-#[allow(clippy::type_complexity)]
-fn replicate_head(primary: &str, body: &str) -> io::Result<(u16, String, TcpStream, Vec<u8>)> {
-    let mut stream = TcpStream::connect(primary)?;
-    stream.set_nodelay(true)?;
-    let head = format!(
-        "POST /v1/admin/replicate HTTP/1.1\r\nHost: {primary}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()?;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if buf.len() > 64 << 10 {
-            return Err(io::Error::other("replicate: response head exceeds 64 KiB"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(io::Error::other("replicate: connection closed in head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-    let prefix = buf[header_end + 4..].to_vec();
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-    Ok((status, head, stream, prefix))
-}
-
-/// Case-insensitive single-header lookup in a raw response head.
-fn header_value<'a>(head: &'a str, name_lower: &str) -> Option<&'a str> {
-    head.lines().find_map(|line| {
-        let (k, v) = line.split_once(':')?;
-        (k.trim().to_ascii_lowercase() == name_lower).then(|| v.trim())
-    })
 }
 
 #[cfg(test)]
@@ -849,13 +794,5 @@ mod tests {
             format!("{SNAPSHOT_REQUIRED}: from_seq 3 predates the oldest retained WAL frame");
         assert!(is_snapshot_required(&detail));
         assert!(!is_snapshot_required("replication gap: got seq 9"));
-    }
-
-    #[test]
-    fn header_lookup_is_case_insensitive() {
-        let head = "HTTP/1.1 200 OK\r\nContent-Length: 42\r\nX-Mmkgr-Head-Seq: 7";
-        assert_eq!(header_value(head, "content-length"), Some("42"));
-        assert_eq!(header_value(head, "x-mmkgr-head-seq"), Some("7"));
-        assert_eq!(header_value(head, "retry-after"), None);
     }
 }

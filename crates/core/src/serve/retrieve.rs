@@ -36,7 +36,7 @@ use std::sync::Arc;
 use mmkgr_kg::subgraph::{extract, ModalPresence, Subgraph, SubgraphConfig};
 use mmkgr_kg::{EntityId, GraphHandle, KnowledgeGraph, RelationId};
 
-use super::{KgReasoner, Query};
+use super::{faults, KgReasoner, Query};
 
 /// Relations with at most this many training triples count as few-shot
 /// (the same `≤10` cutoff `mmkgr stats` reports).
@@ -144,6 +144,7 @@ impl Retriever {
     /// path evidence and the spec names a relation; pass `None` to force
     /// the topology fallback.
     pub fn retrieve(&self, reasoner: Option<&dyn KgReasoner>, spec: &RetrieveSpec) -> Retrieval {
+        faults::on_retrieve();
         // Pin once: subgraph, fallback paths and annotations all read
         // the same epoch.
         let graph = self.graph.pin();

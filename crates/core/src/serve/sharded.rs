@@ -18,22 +18,20 @@
 //! [`super::PolicyReasoner`] is always served whole, with one frontier
 //! cache.
 //!
-//! # Supervision
+//! # Failure handling
 //!
 //! Fan-out runs on a persistent per-reasoner shard pool (spawned
 //! once at construction, closing the old per-query `thread::scope`
-//! spawn cost) under a supervisor: every shard task runs inside
-//! `catch_unwind`, waits are bounded by the caller's [`Budget`], and a
-//! failed shard is retried **once** after a jittered backoff. A shard
-//! that still fails is dropped from the merge — the answer is the exact
-//! merged top-k of the survivors, annotated with
+//! spawn cost). Every shard task runs under an unwind guard, and waits
+//! are bounded by the caller's [`Budget`]. A shard is never retried:
+//! range scoring is a pure function of the weights, so a panic would
+//! repeat. A failed shard is dropped from the merge at once — the
+//! answer is the exact merged top-k of the survivors, annotated with
 //! [`Degraded`] so clients can tell a partial ranking
 //! from a full one. An exhausted budget wins over degradation: the
 //! caller gets [`ApiError::DeadlineExceeded`], never a late answer.
 
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
 
 use mmkgr_embed::TripleScorer;
 use mmkgr_kg::{EntityId, RelationId, RelationSpace};
@@ -78,13 +76,13 @@ impl<S: TripleScorer + Send + Sync> ObjectScorer for S {
 type ShardTask = Box<dyn FnOnce() + Send>;
 
 /// A persistent pool of shard-task threads, spawned once per
-/// [`ShardedReasoner`]. Tasks run under `catch_unwind` so a panicking
-/// scorer (or an injected chaos fault) never kills a pool thread — the
-/// failure is reported through the task's own result channel and the
-/// thread moves on to the next task.
+/// [`ShardedReasoner`]. Every task wraps its scoring in
+/// [`shard_attempt`]'s unwind guard, so a panicking scorer (or an
+/// injected chaos fault) is reported through the task's own result
+/// channel and never kills a pool thread.
 struct ShardPool {
-    tx: Mutex<Option<mpsc::Sender<ShardTask>>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    tx: Option<mpsc::Sender<ShardTask>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ShardPool {
@@ -99,21 +97,19 @@ impl ShardPool {
                         Ok(t) => t,
                         Err(_) => return, // pool dropped
                     };
-                    // The pool boundary: a panic inside the task is the
-                    // task's problem, not the thread's.
-                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+                    task();
                 })
             })
             .collect();
         ShardPool {
-            tx: Mutex::new(Some(tx)),
-            handles: Mutex::new(handles),
+            tx: Some(tx),
+            handles,
         }
     }
 
     fn submit(&self, task: ShardTask) {
-        let tx = self.tx.lock().unwrap();
-        tx.as_ref()
+        self.tx
+            .as_ref()
             .expect("shard pool open while alive")
             .send(task)
             .expect("shard pool workers alive");
@@ -122,16 +118,16 @@ impl ShardPool {
 
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.tx.lock().unwrap().take(); // close the channel
-        for h in self.handles.lock().unwrap().drain(..) {
+        self.tx.take(); // close the channel
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// One supervised attempt at scoring a shard: chaos hooks first (so
-/// injected latency/panics land inside the unwind guard), then the real
-/// range scoring. `Err` carries the panic message.
+/// Score one shard under an unwind guard: chaos hooks first (so
+/// injected latency/panics land inside the guard), then the real range
+/// scoring. `Err` carries the panic message.
 fn shard_attempt(
     scorer: &dyn ObjectScorer,
     query: &Query,
@@ -221,25 +217,24 @@ impl ShardedReasoner {
         candidates_from_scores(&scores, lo, query.top_k)
     }
 
-    /// Run one wave of shard attempts — concurrently on the shard pool
-    /// when there is one, inline otherwise — collecting each shard's
-    /// result. Waits are bounded by the remaining `budget`; a shard that
-    /// produced nothing before the deadline simply has no entry in the
-    /// returned list.
-    fn run_wave(
+    /// Score every shard — concurrently on the shard pool when there is
+    /// one, inline otherwise — collecting each shard's result. Waits are
+    /// bounded by the remaining `budget`; a shard that produced nothing
+    /// before the deadline simply has no entry in the returned list.
+    fn fan_out(
         &self,
         query: &Query,
-        pending: &[(usize, usize, usize)],
+        shards: &[(usize, usize, usize)],
         budget: Budget,
     ) -> Vec<(usize, Result<Vec<Candidate>, String>)> {
         let Some(pool) = &self.pool else {
-            return pending
+            return shards
                 .iter()
                 .map(|&(shard, lo, hi)| (shard, shard_attempt(&*self.scorer, query, shard, lo, hi)))
                 .collect();
         };
         let (res_tx, res_rx) = mpsc::channel();
-        for &(shard, lo, hi) in pending {
+        for &(shard, lo, hi) in shards {
             let scorer = Arc::clone(&self.scorer);
             let query = *query;
             let tx = res_tx.clone();
@@ -249,15 +244,11 @@ impl ShardedReasoner {
             }));
         }
         drop(res_tx);
-        let mut results = Vec::with_capacity(pending.len());
-        for _ in 0..pending.len() {
-            let next = match budget.remaining() {
-                None => res_rx.recv().ok(),
-                Some(left) => res_rx.recv_timeout(left).ok(),
-            };
-            match next {
+        let mut results = Vec::with_capacity(shards.len());
+        for _ in 0..shards.len() {
+            match budget.recv(&res_rx) {
                 Some(pair) => results.push(pair),
-                None => break, // deadline: undelivered shards count as failed
+                None => break, // deadline: the caller answers 504
             }
         }
         results
@@ -282,43 +273,29 @@ impl KgReasoner for ShardedReasoner {
             .expect("an unlimited budget cannot exceed its deadline")
     }
 
-    /// Exhaustive answer, fanned across shards under supervision: every
-    /// shard attempt is unwind-guarded, waits are budget-bounded, and a
-    /// failed shard gets exactly one retry after a jittered backoff.
-    /// Survivor results merge into the exact top-k over their ranges; if
-    /// any shard stayed down the answer carries a [`Degraded`]
-    /// annotation. An exhausted budget is an error, not a late answer.
+    /// Exhaustive answer, fanned across shards: every shard is
+    /// unwind-guarded and waits are budget-bounded. Survivor results
+    /// merge into the exact top-k over their ranges; if a shard failed
+    /// the answer carries a [`Degraded`] annotation. An exhausted budget
+    /// is an error, not a late answer.
     fn answer_within(&self, query: &Query, budget: Budget) -> Result<Answer, ApiError> {
         if budget.expired() {
             return Err(budget.exceeded());
         }
-        let mut pending: Vec<(usize, usize, usize)> = self
+        let shards: Vec<(usize, usize, usize)> = self
             .bounds
             .windows(2)
             .enumerate()
             .map(|(i, w)| (i, w[0], w[1]))
             .filter(|&(_, lo, hi)| lo < hi)
             .collect();
+        // Every shard counts as failed until its result arrives.
+        let mut failed: Vec<usize> = shards.iter().map(|&(shard, _, _)| shard).collect();
         let mut merged: Vec<Candidate> = Vec::new();
-        for attempt in 0..2 {
-            if pending.is_empty() {
-                break;
-            }
-            if attempt > 0 {
-                if budget.expired() {
-                    break;
-                }
-                faults::SHARD_RETRIES.fetch_add(pending.len() as u64, Ordering::Relaxed);
-                std::thread::sleep(budget.clamp(Duration::from_millis(1) + faults::jitter(8)));
-            }
-            let wave = self.run_wave(query, &pending, budget);
-            pending.retain(|&(shard, _, _)| {
-                !wave.iter().any(|&(s, ref out)| s == shard && out.is_ok())
-            });
-            for (_, out) in wave {
-                if let Ok(cands) = out {
-                    merged.extend(cands);
-                }
+        for (shard, out) in self.fan_out(query, &shards, budget) {
+            if let Ok(cands) = out {
+                failed.retain(|&s| s != shard);
+                merged.extend(cands);
             }
         }
         if budget.expired() {
@@ -332,8 +309,8 @@ impl KgReasoner for ShardedReasoner {
             query: *query,
             coverage: Coverage::Exhaustive,
             ranked: merged,
-            degraded: (!pending.is_empty()).then(|| Degraded {
-                shards_failed: pending.iter().map(|&(shard, _, _)| shard).collect(),
+            degraded: (!failed.is_empty()).then(|| Degraded {
+                shards_failed: failed,
                 shards_total: self.num_shards(),
             }),
         })
@@ -345,6 +322,7 @@ mod tests {
     use super::super::ScorerReasoner;
     use super::*;
     use mmkgr_embed::TransE;
+    use std::time::Duration;
 
     /// Hold for the whole test: it serializes with the tests that
     /// inject shard faults, which would otherwise hit this one's shards.
@@ -358,6 +336,24 @@ mod tests {
 
     fn transe(n: usize, rs: RelationSpace) -> Arc<TransE> {
         Arc::new(TransE::new(n, rs.total(), 8, 7))
+    }
+
+    /// Reference for a degraded answer: an unsharded pass over every
+    /// range but shard `dead`'s, scored directly.
+    fn survivors(
+        sharded: &ShardedReasoner,
+        scorer: &TransE,
+        q: &Query,
+        dead: usize,
+    ) -> Vec<Candidate> {
+        let mut expect: Vec<Candidate> = Vec::new();
+        for (i, w) in sharded.bounds.windows(2).enumerate() {
+            if i != dead && w[0] < w[1] {
+                expect.extend(ShardedReasoner::score_shard(scorer, q, w[0], w[1]));
+            }
+        }
+        rank_top_k(&mut expect, q.top_k);
+        expect
     }
 
     #[test]
@@ -428,16 +424,11 @@ mod tests {
             for top_k in [0usize, 1, 5, 100] {
                 let q = Query::new(EntityId(3), RelationId(1)).with_top_k(top_k);
                 let got = sharded.answer(&q);
-                // Reference: score each surviving range directly.
-                let scorer_dyn: &dyn ObjectScorer = &*scorer;
-                let mut expect: Vec<Candidate> = Vec::new();
-                for (i, w) in sharded.bounds.windows(2).enumerate() {
-                    if i != dead && w[0] < w[1] {
-                        expect.extend(ShardedReasoner::score_shard(scorer_dyn, &q, w[0], w[1]));
-                    }
-                }
-                rank_top_k(&mut expect, top_k);
-                assert_eq!(got.ranked, expect, "dead={dead} top_k={top_k}");
+                assert_eq!(
+                    got.ranked,
+                    survivors(&sharded, &scorer, &q, dead),
+                    "dead={dead} top_k={top_k}"
+                );
                 assert_eq!(
                     got.degraded,
                     Some(Degraded {
@@ -450,25 +441,27 @@ mod tests {
     }
 
     #[test]
-    fn transient_shard_panic_is_retried_to_a_full_answer() {
+    fn a_failed_shard_is_dropped_at_once_and_the_next_answer_is_whole() {
         let (n, rs) = shape();
         let scorer = transe(n, rs);
         let whole = ScorerReasoner::new("TransE", Arc::clone(&scorer), n, rs);
         let sharded =
             ShardedReasoner::from_scorer("TransE", Arc::clone(&scorer), n, rs, 3).unwrap();
         let q = Query::new(EntityId(7), RelationId(0)).with_top_k(5);
-        let retries_before = faults::SHARD_RETRIES.load(Ordering::Relaxed);
-        let got = {
-            // Shard 1 panics exactly once: the retry must succeed and
-            // the answer must be indistinguishable from a healthy run.
-            let _guard = faults::install(
-                faults::FaultPlan::new().with_shard_panic(faults::ShardSel::One(1), 1),
-            );
-            sharded.answer(&q)
-        };
-        assert_eq!(got, whole.answer(&q));
-        assert!(got.degraded.is_none());
-        assert!(faults::SHARD_RETRIES.load(Ordering::Relaxed) > retries_before);
+        // Shard 1 panics exactly once: that answer is degraded with no
+        // retry, and the one after it is whole.
+        let _guard =
+            faults::install(faults::FaultPlan::new().with_shard_panic(faults::ShardSel::One(1), 1));
+        let first = sharded.answer(&q);
+        assert_eq!(first.ranked, survivors(&sharded, &scorer, &q, 1));
+        assert_eq!(
+            first.degraded,
+            Some(Degraded {
+                shards_failed: vec![1],
+                shards_total: 3,
+            })
+        );
+        assert_eq!(sharded.answer(&q), whole.answer(&q));
     }
 
     #[test]

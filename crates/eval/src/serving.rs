@@ -91,14 +91,6 @@ impl ModelChoice {
         }
     }
 
-    /// Does this model answer with reasoning-path evidence?
-    pub fn is_path_reasoner(&self) -> bool {
-        matches!(
-            self,
-            ModelChoice::Mmkgr(_) | ModelChoice::Minerva | ModelChoice::Rlh | ModelChoice::Fire
-        )
-    }
-
     /// Parse a model name (the CLI's `--models` list and config files).
     /// Case-insensitive; accepts every [`Self::name`] plus the MMKGR
     /// ablation variant codes (`OSKGR`, `STKGR`, …).

@@ -2,16 +2,15 @@
 //! harness (`mmkgr::core::serve::faults`) and prove the robustness
 //! contract from the outside:
 //!
-//! - injected shard panics never kill the server — persistent failures
-//!   yield a *degraded* answer (the exact merged top-k of the surviving
-//!   shards, annotated on the wire), transient ones are retried away;
-//! - injected latency cannot outlast a caller's `timeout_ms`: the
-//!   request answers `deadline_exceeded` (504) near the deadline and the
-//!   server keeps serving; the server's default deadline binds only
-//!   requests that carry no `timeout_ms`;
+//! - injected shard panics never kill the server — a failed shard
+//!   yields a *degraded* answer (the exact merged top-k of the surviving
+//!   shards, annotated on the wire);
+//! - injected shard or retrieval latency cannot outlast a caller's
+//!   `timeout_ms`: the request answers `deadline_exceeded` (504) near
+//!   the deadline and the server keeps serving; the server's default
+//!   deadline binds only requests that carry no `timeout_ms`;
 //! - admission control sheds excess load with `overloaded` (503) and a
 //!   `Retry-After` header instead of queueing without bound;
-//! - a poisoned worker-pool thread is respawned and the batch completes;
 //! - stalled clients are cut off with `request_timeout` (408);
 //! - injected I/O errors surface as typed snapshot errors;
 //! - with no faults installed the wire bodies carry **no** degradation
@@ -182,30 +181,6 @@ fn persistent_shard_panic_degrades_but_never_kills_the_server() {
 }
 
 #[test]
-fn transient_shard_panic_is_retried_to_a_healthy_answer() {
-    let retries_before = faults::SHARD_RETRIES.load(std::sync::atomic::Ordering::Relaxed);
-    let _guard = faults::install(FaultPlan::new().with_shard_panic(ShardSel::One(1), 1));
-    let server = boot(HttpServerConfig::default());
-    let addr = server.addr();
-
-    let (status, body) = request(addr, "POST", "/v1/answer", &answer_body(None)).unwrap();
-    assert_eq!(status, 200, "{body}");
-    let wire: WireAnswer = serde_json::from_str(&body).unwrap();
-    assert!(!wire.degraded, "one panic + one retry must heal: {body}");
-    assert!(
-        !body.contains("degraded"),
-        "healthy bodies carry no annotation"
-    );
-    assert!(
-        faults::SHARD_RETRIES.load(std::sync::atomic::Ordering::Relaxed) > retries_before,
-        "the retry must be visible in the robustness counters"
-    );
-    let m = metrics(addr);
-    assert!(m.robustness.shard_retries > 0);
-    server.shutdown();
-}
-
-#[test]
 fn injected_latency_turns_into_a_504_and_the_server_survives() {
     let _guard = faults::install(
         FaultPlan::new().with_shard_latency(ShardSel::All, Duration::from_millis(500)),
@@ -319,45 +294,6 @@ fn overload_is_shed_with_503_and_retry_after() {
     assert!(ok >= 1, "admission control must not shed everything");
     assert!(shed >= 1, "six slow concurrent requests must trip shedding");
     assert!(metrics(addr).robustness.shed >= shed as u64);
-    server.shutdown();
-}
-
-#[test]
-fn worker_panic_is_respawned_and_the_batch_completes() {
-    let respawns_before = faults::WORKER_RESPAWNS.load(std::sync::atomic::Ordering::Relaxed);
-    let _guard = faults::install(FaultPlan::new().with_worker_panic(1));
-    let server = boot(HttpServerConfig {
-        pool_workers: 2,
-        ..HttpServerConfig::default()
-    });
-    let addr = server.addr();
-
-    let queries: Vec<NamedQuery> = (0..6)
-        .map(|i| NamedQuery::new(format!("e{i}"), "r0").with_top_k(3))
-        .collect();
-    let body = serde_json::to_string(&AnswerBatchRequest {
-        model: None,
-        queries: queries.clone(),
-    })
-    .unwrap();
-    let (status, resp) = request(addr, "POST", "/v1/answer_batch", &body).unwrap();
-    assert_eq!(
-        status, 200,
-        "the batch must survive a poisoned worker: {resp}"
-    );
-    let batch: AnswerBatchResponse = serde_json::from_str(&resp).unwrap();
-    assert_eq!(batch.answers.len(), queries.len());
-
-    // Respawn is lazy: the supervisor replaces finished workers when
-    // the pool is next used. The second batch both proves the pool
-    // still works and makes the respawn observable.
-    let (status, resp) = request(addr, "POST", "/v1/answer_batch", &body).unwrap();
-    assert_eq!(status, 200, "{resp}");
-    assert!(
-        faults::WORKER_RESPAWNS.load(std::sync::atomic::Ordering::Relaxed) > respawns_before,
-        "the supervisor must have replaced the poisoned worker"
-    );
-    assert!(metrics(addr).robustness.worker_respawns > 0);
     server.shutdown();
 }
 
@@ -518,77 +454,32 @@ fn retrieve_stays_whole_while_answers_degrade_on_a_dead_shard() {
 fn retrieve_near_deadline_budget_is_a_typed_504_and_the_server_survives() {
     // Retrieval is one uninterruptible pass (expansion + evidence +
     // rerank) enforced around by the request budget: a pass that
-    // outlasts its near-zero deadline yields a typed `deadline_exceeded`
-    // — never a hang, a 500, or a dead server. The heavy pass here is a
-    // 10-hop expansion over a 60k-entity graph.
-    let _quiet = faults::install(FaultPlan::new());
-    const BIG: usize = 60_000;
-    let n = BIG as u32;
-    let triples: Vec<Triple> = (0..n)
-        .flat_map(|i| {
-            [
-                Triple {
-                    s: EntityId(i),
-                    r: RelationId(i % 3),
-                    o: EntityId((i + 1) % n),
-                },
-                Triple {
-                    s: EntityId(i),
-                    r: RelationId((i + 1) % 3),
-                    o: EntityId((i + 7919) % n),
-                },
-            ]
-        })
-        .collect();
-    let graph = KnowledgeGraph::from_triples(BIG, 3, triples, None);
-    let mut registry = ModelRegistry::new(NameIndex::synthetic(BIG, 3));
-    registry.register(Arc::new(
-        ShardedReasoner::from_scorer(
-            "TransE",
-            TransE::new(BIG, RelationSpace::new(3).total(), 8, 11),
-            BIG,
-            RelationSpace::new(3),
-            SHARDS,
-        )
-        .expect("shards"),
-    ));
-    registry.set_retriever(Arc::new(Retriever::new(Arc::new(graph))));
-    let server = HttpServer::bind(
-        ("127.0.0.1", 0),
-        Arc::new(registry),
-        HttpServerConfig::default(),
-    )
-    .expect("bind ephemeral port")
-    .spawn();
+    // outlasts its deadline yields a typed `deadline_exceeded` — never a
+    // hang, a 500, or a dead server. Injected latency at the start of
+    // the pass makes it outlast a 1 ms budget however fast the build.
+    let _guard = faults::install(FaultPlan::new().with_retrieve_latency(Duration::from_millis(50)));
+    let server = boot_retrieval(HttpServerConfig::default());
     let addr = server.addr();
 
-    // A small pass under a generous budget answers.
-    let ok = RetrieveRequest::new(["e3".to_string()])
-        .with_hops(1)
-        .with_max_paths(3)
-        .with_timeout_ms(30_000);
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/retrieve",
-        &serde_json::to_string(&ok).unwrap(),
-    )
-    .unwrap();
+    let pass = |timeout_ms: u64| {
+        let req = RetrieveRequest::new(["e3".to_string()])
+            .with_hops(1)
+            .with_max_paths(3)
+            .with_timeout_ms(timeout_ms);
+        request(
+            addr,
+            "POST",
+            "/v1/retrieve",
+            &serde_json::to_string(&req).unwrap(),
+        )
+        .unwrap()
+    };
+    // A pass under a generous budget answers.
+    let (status, body) = pass(30_000);
     assert_eq!(status, 200, "{body}");
 
-    // The heavy pass under a 1ms budget is a typed 504.
-    let tight = RetrieveRequest::new(["e3".to_string()])
-        .with_hops(10)
-        .with_max_entities(2 * BIG)
-        .with_max_paths(3)
-        .with_timeout_ms(1);
-    let (status, body) = request(
-        addr,
-        "POST",
-        "/v1/retrieve",
-        &serde_json::to_string(&tight).unwrap(),
-    )
-    .unwrap();
+    // The same pass under a 1ms budget is a typed 504.
+    let (status, body) = pass(1);
     assert_eq!(status, 504, "{body}");
     assert!(body.contains("\"deadline_exceeded\""), "{body}");
     assert!(body.contains("\"timeout_ms\""), "{body}");
